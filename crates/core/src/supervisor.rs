@@ -199,6 +199,12 @@ enum Attempt {
 /// it outlives `wall_cap`. A reaped thread is detached, not joined — the
 /// OS thread finishes (or leaks) on its own; the supervisor moves on, as
 /// the real campaign moved on by power-cycling a wedged board.
+///
+/// A thread that reports is joined before the next attempt starts. It has
+/// nothing left to do but exit, and once it has, the allocator can hand
+/// its memory arena to the next worker instead of opening a new one; with
+/// one fresh arena per cell, retained free memory grows with every cell
+/// a process runs.
 fn run_attempt(
     spec: &CellSpec,
     wall_cap: Duration,
@@ -207,14 +213,19 @@ fn run_attempt(
 ) -> Attempt {
     let spec = spec.clone();
     let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
+    let worker = std::thread::spawn(move || {
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
             execute_cell_with(&spec, cycle_budget, image_jobs)
         }));
         // The receiver may be gone (deadline fired); that is fine.
         let _ = tx.send(result);
     });
-    match rx.recv_timeout(wall_cap) {
+    let reported = rx.recv_timeout(wall_cap);
+    if reported.is_ok() {
+        // The panic, if any, was caught inside and is in `reported`.
+        let _ = worker.join();
+    }
+    match reported {
         Ok(Ok((result, telemetry))) => Attempt::Done(Box::new(result), telemetry),
         Ok(Err(payload)) => Attempt::Panicked(panic_message(payload.as_ref())),
         Err(mpsc::RecvTimeoutError::Timeout) => Attempt::DeadlineExceeded,

@@ -191,27 +191,75 @@ pub struct IntChecksum {
 impl IntChecksum {
     /// Checksums raw 32-bit accumulators.
     pub fn of_acc(acc: &[i32]) -> IntChecksum {
-        let mut sum = 0i64;
-        let mut weighted = 0i64;
-        for (i, &v) in acc.iter().enumerate() {
-            let v = i64::from(v);
-            sum = sum.wrapping_add(v);
-            weighted = weighted.wrapping_add(v.wrapping_mul(i as i64 + 1));
-        }
-        IntChecksum { sum, weighted }
+        acc_checksum(acc)
     }
 
     /// Checksums quantized activation codes.
     pub fn of_codes(codes: &[i8]) -> IntChecksum {
+        codes_checksum(codes)
+    }
+
+    /// Both sums over [`CHECKSUM_LANES`] interleaved lanes using additions
+    /// only, so the loop vectorizes (a per-element 64-bit multiply by the
+    /// index does not). Element `L·c + l` sits in lane `l` of chunk `c`;
+    /// per lane, `s` sums the values and `q` sums the running `s`, which
+    /// gives `Σ_c c·v = C·s − q` over `C` chunks. Wrapping arithmetic is
+    /// arithmetic mod 2⁶⁴, where these identities hold exactly, so the
+    /// result equals the sequential definition bit for bit.
+    #[inline(always)]
+    fn of<T: Copy + Into<i64>>(xs: &[T]) -> IntChecksum {
+        const L: usize = CHECKSUM_LANES;
+        let mut s = [0i64; L];
+        let mut q = [0i64; L];
+        let chunks = xs.chunks_exact(L);
+        let tail = chunks.remainder();
+        let c = chunks.len() as i64;
+        for chunk in chunks {
+            for l in 0..L {
+                s[l] = s[l].wrapping_add(chunk[l].into());
+                q[l] = q[l].wrapping_add(s[l]);
+            }
+        }
         let mut sum = 0i64;
         let mut weighted = 0i64;
-        for (i, &v) in codes.iter().enumerate() {
-            let v = i64::from(v);
+        for l in 0..L {
+            // Σ_c (L·c + l + 1)·v over lane l.
+            let index_sum = c.wrapping_mul(s[l]).wrapping_sub(q[l]);
+            weighted = weighted
+                .wrapping_add((L as i64).wrapping_mul(index_sum))
+                .wrapping_add((l as i64 + 1).wrapping_mul(s[l]));
+            sum = sum.wrapping_add(s[l]);
+        }
+        let base = xs.len() - tail.len();
+        for (i, &v) in tail.iter().enumerate() {
+            let v: i64 = v.into();
             sum = sum.wrapping_add(v);
-            weighted = weighted.wrapping_add(v.wrapping_mul(i as i64 + 1));
+            weighted = weighted.wrapping_add(v.wrapping_mul((base + i) as i64 + 1));
         }
         IntChecksum { sum, weighted }
     }
+}
+
+/// Interleaved lanes of [`IntChecksum::of`]: two 256-bit registers of
+/// `i64`.
+const CHECKSUM_LANES: usize = 8;
+
+#[inline(always)]
+fn acc_checksum_body(acc: &[i32]) -> IntChecksum {
+    IntChecksum::of(acc)
+}
+
+#[inline(always)]
+fn codes_checksum_body(codes: &[i8]) -> IntChecksum {
+    IntChecksum::of(codes)
+}
+
+kernels::avx2_dispatch! {
+    fn acc_checksum / acc_checksum_avx2 => acc_checksum_body(acc: &[i32]) -> IntChecksum
+}
+
+kernels::avx2_dispatch! {
+    fn codes_checksum / codes_checksum_avx2 => codes_checksum_body(codes: &[i8]) -> IntChecksum
 }
 
 /// Kahan-compensated sum — keeps the float checksum's own rounding error
@@ -451,6 +499,46 @@ mod tests {
             DefensePolicy::correct().reexec_budget(),
             DEFAULT_MAX_REEXECUTIONS
         );
+    }
+
+    /// The sequential definition the lane-parallel checksum must equal.
+    fn sequential(xs: &[i64]) -> IntChecksum {
+        let mut sum = 0i64;
+        let mut weighted = 0i64;
+        for (i, &v) in xs.iter().enumerate() {
+            sum = sum.wrapping_add(v);
+            weighted = weighted.wrapping_add(v.wrapping_mul(i as i64 + 1));
+        }
+        IntChecksum { sum, weighted }
+    }
+
+    #[test]
+    fn int_checksum_equals_the_sequential_definition() {
+        let extremes = [i32::MIN, i32::MAX, -1, 0, 1, i32::MIN + 1];
+        for n in (0..=40).chain([1000, 4099]) {
+            let acc: Vec<i32> = (0..n)
+                .map(|i| {
+                    if i % 7 == 0 {
+                        extremes[i % extremes.len()]
+                    } else {
+                        (i as i32).wrapping_mul(0x2545_f491)
+                    }
+                })
+                .collect();
+            // The dispatchers take the AVX2 build where the CPU has it;
+            // the bodies are the portable build.
+            let wide: Vec<i64> = acc.iter().map(|&v| i64::from(v)).collect();
+            assert_eq!(IntChecksum::of_acc(&acc), sequential(&wide), "n={n}");
+            assert_eq!(acc_checksum_body(&acc), sequential(&wide), "n={n}");
+            let codes: Vec<i8> = acc.iter().map(|&v| (v >> 24) as i8).collect();
+            let wide: Vec<i64> = codes.iter().map(|&v| i64::from(v)).collect();
+            assert_eq!(IntChecksum::of_codes(&codes), sequential(&wide), "n={n}");
+            assert_eq!(codes_checksum_body(&codes), sequential(&wide), "n={n}");
+        }
+        // Long enough for the weighted sum to wrap.
+        let big = vec![i32::MAX; 1 << 20];
+        let wide: Vec<i64> = big.iter().map(|&v| i64::from(v)).collect();
+        assert_eq!(IntChecksum::of_acc(&big), sequential(&wide));
     }
 
     #[test]

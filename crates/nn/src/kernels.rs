@@ -1,4 +1,6 @@
-//! Optimized inference kernels: im2col + register/cache-blocked GEMM.
+//! Optimized inference kernels: im2col + register/cache-blocked GEMM, a
+//! packed-weight AVX2 int8 conv microkernel, and the rounding epilogues of
+//! the integer datapath.
 //!
 //! Two regimes, two contracts:
 //!
@@ -17,13 +19,20 @@
 //!
 //! * **Integer kernels** accumulate `i8 × i8` products in `i32`, which is
 //!   associative (wrapping arithmetic forms a group), so they are free to
-//!   reorder: a zero-padded im2col panel is built for a tile of output
-//!   pixels and multiplied as a cache-blocked GEMM — four output channels
-//!   advance together so every panel load is reused across four weight
-//!   rows, and the full `k·k·ic` dot product vectorizes cleanly. On
-//!   x86-64 the GEMM microkernel is additionally compiled for AVX2 and
-//!   selected by runtime feature detection; integer arithmetic is exact,
-//!   so both code paths produce identical accumulators.
+//!   reorder. On x86-64 with AVX2 the conv runs a `vpmaddwd`
+//!   direct-convolution microkernel over a zero-padded `i16` copy of the
+//!   input and weights pre-packed once per layer
+//!   ([`pack_conv_weights`]);
+//!   otherwise, and for dense layers, a zero-padded im2col panel is
+//!   multiplied as a cache-blocked GEMM whose microkernel is compiled a
+//!   second time for AVX2. Integer arithmetic is exact, so every path
+//!   produces identical accumulators.
+//!
+//! * **Rounding epilogues** turn `f32` values into activation codes with
+//!   one rule, `round_code`, and are compiled for baseline x86-64 and
+//!   for AVX2 from one body (`avx2_dispatch!`), selected at run time.
+//!   Both builds run the same `f32` operations in the same order, so
+//!   their codes are identical.
 //!
 //! All `_into` variants write into caller-provided buffers and borrow
 //! their temporaries from a [`Scratch`] arena, so a warmed-up executor
@@ -31,6 +40,42 @@
 
 use crate::graph::ConvParams;
 use crate::tensor::{QTensor, Tensor};
+use redvolt_num::fixed::IntFormat;
+
+/// Compiles the `#[inline(always)]` function `$body` a second time with
+/// AVX2 enabled as `$avx2`, and defines `$name` to run that build when
+/// the CPU supports AVX2 and `$body` otherwise. The feature probe is a
+/// cached atomic load in `std`, so dispatching per call is free.
+macro_rules! avx2_dispatch {
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident / $avx2:ident
+            => $body:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
+    ) => {
+        #[doc = concat!("[`", stringify!($body), "`] compiled with AVX2 enabled.")]
+        ///
+        /// # Safety
+        ///
+        /// The caller must have verified AVX2 support
+        /// (`is_x86_feature_detected!("avx2")`).
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        unsafe fn $avx2($($arg: $ty),*) $(-> $ret)? {
+            $body($($arg),*)
+        }
+
+        $(#[$attr])*
+        $vis fn $name($($arg: $ty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 support was just verified.
+                return unsafe { $avx2($($arg),*) };
+            }
+            $body($($arg),*)
+        }
+    };
+}
+pub(crate) use avx2_dispatch;
 
 /// Output-pixel tile width of the integer GEMM: the weight row fetched
 /// for an output channel is reused across this many im2col panel rows
@@ -48,6 +93,10 @@ pub struct Scratch {
     chunk_offs: Vec<usize>,
     /// i8 im2col panel: `QTILE` zero-padded rows of `k·k·ic` codes.
     panel_q: Vec<i8>,
+    /// The AVX2 conv's zero-padded input, widened to `i16`.
+    panel_w: Vec<i16>,
+    /// The AVX2 conv's window origin per output pixel in `panel_w`.
+    origins: Vec<usize>,
 }
 
 impl Scratch {
@@ -259,15 +308,88 @@ pub fn dense_f32(
     Tensor::vector(out)
 }
 
+/// Output channels per packed weight block: one 256-bit register of
+/// `i32` accumulators.
+const OC_BLOCK: usize = 8;
+/// Output pixels per AVX2 microkernel tile.
+const PX_TILE: usize = 4;
+
+/// Packs conv weight codes (`[oc][ky][kx][ic]`, as [`conv2d_q_into`]
+/// takes them) into `packed` in the layout the AVX2 microkernel reads,
+/// reusing its allocation. Done once per layer and kept beside the plain
+/// codes; the copy-on-fault path repacks faulted codes every pass.
+///
+/// Output channels are grouped in blocks of 8, the last block
+/// zero-padded. Within a block, each kernel row `ky` holds its `k·ic`
+/// codes as pairs of consecutive taps (an odd row gets one zero tap), and
+/// each pair stores 16 codes `[w(oc₀,2j), w(oc₀,2j+1), w(oc₁,2j), …]`:
+/// exactly one `vpmaddwd` operand once widened to `i16` in a register.
+///
+/// # Panics
+///
+/// Panics if `wcodes.len() != p.weight_count()`.
+pub fn pack_conv_weights(p: &ConvParams, wcodes: &[i8], packed: &mut Vec<i8>) {
+    assert_eq!(wcodes.len(), p.weight_count(), "weights length");
+    let seg = p.k * p.in_ch;
+    let row_len = seg.div_ceil(2) * 2 * OC_BLOCK;
+    packed.clear();
+    packed.resize(p.out_ch.div_ceil(OC_BLOCK) * p.k * row_len, 0);
+    for (oc, taps) in wcodes.chunks_exact(p.k * seg).enumerate() {
+        let (block, lane) = (oc / OC_BLOCK, oc % OC_BLOCK);
+        for (ky, row) in taps.chunks_exact(seg).enumerate() {
+            let dst = &mut packed[(block * p.k + ky) * row_len..][..row_len];
+            for (t, &w) in row.iter().enumerate() {
+                dst[(t / 2) * 2 * OC_BLOCK + 2 * lane + t % 2] = w;
+            }
+        }
+    }
+}
+
 /// Optimized integer convolution writing raw accumulators into `acc`
 /// (length `oh·ow·out_ch`). Produces values identical to
 /// [`crate::reference::conv2d_q`] — integer accumulation is associative,
-/// so the blocked GEMM reorder is exact.
+/// so any blocking is exact.
+///
+/// `packed` must be `wcodes` packed by [`pack_conv_weights`]: on x86-64
+/// with AVX2 the `vpmaddwd` microkernel reads it, elsewhere the portable
+/// im2col GEMM reads `wcodes`.
 ///
 /// # Panics
 ///
 /// Panics if a buffer length does not match.
 pub fn conv2d_q_into(
+    input: &QTensor,
+    p: &ConvParams,
+    wcodes: &[i8],
+    packed: &[i8],
+    bias_q: &[i32],
+    scratch: &mut Scratch,
+    acc: &mut [i32],
+) {
+    let (oh, ow) = p.out_hw(input.h(), input.w());
+    assert_eq!(input.c(), p.in_ch, "input channels");
+    assert_eq!(acc.len(), oh * ow * p.out_ch, "accumulator buffer length");
+    assert_eq!(wcodes.len(), p.weight_count(), "weights length");
+    assert_eq!(bias_q.len(), p.out_ch, "bias length");
+    debug_assert!(
+        {
+            let mut fresh = Vec::new();
+            pack_conv_weights(p, wcodes, &mut fresh);
+            fresh == packed
+        },
+        "stale packed weights"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified.
+        return unsafe { conv2d_q_avx2(input, p, packed, bias_q, scratch, acc) };
+    }
+    conv2d_q_portable(input, p, wcodes, bias_q, scratch, acc)
+}
+
+/// The portable integer convolution: a zero-padded im2col panel per tile
+/// of [`QTILE`] output pixels, multiplied by [`gemm_q_dispatch`].
+fn conv2d_q_portable(
     input: &QTensor,
     p: &ConvParams,
     wcodes: &[i8],
@@ -277,9 +399,6 @@ pub fn conv2d_q_into(
 ) {
     let (ih, iw, ic) = (input.h(), input.w(), input.c());
     let (oh, ow) = p.out_hw(ih, iw);
-    assert_eq!(acc.len(), oh * ow * p.out_ch, "accumulator buffer length");
-    assert_eq!(wcodes.len(), p.weight_count(), "weights length");
-    assert_eq!(bias_q.len(), p.out_ch, "bias length");
     let k2ic = p.k * p.k * ic;
     let pixels = oh * ow;
     scratch.panel_q.resize(QTILE * k2ic, 0);
@@ -312,8 +431,6 @@ pub fn conv2d_q_into(
                 prow[w_off..w_off + len].copy_from_slice(&input.codes[in_off..in_off + len]);
             }
         }
-        // Cache-blocked GEMM over the tile: weight rows stay hot in L1
-        // across the tile's panel rows, four output channels per pass.
         gemm_q_dispatch(
             &scratch.panel_q[..QTILE * k2ic],
             tile,
@@ -324,6 +441,122 @@ pub fn conv2d_q_into(
             &mut acc[tile_start * p.out_ch..][..tile * p.out_ch],
         );
         tile_start += tile;
+    }
+}
+
+/// The AVX2 integer convolution: direct convolution over a zero-padded
+/// copy of the input widened to `i16` once per call, so no per-pixel
+/// panel is built. Each kernel row of an output pixel's window is then a
+/// contiguous run of that copy; its taps are read in pairs, broadcast,
+/// and multiplied by one packed weight pair of [`OC_BLOCK`] channels with
+/// `vpmaddwd`. A tile is [`PX_TILE`] pixels × [`OC_BLOCK`] channels held
+/// in four `i32` registers.
+///
+/// An odd-length kernel row reads one element past its end; the packed
+/// weight of that tap is zero, so it adds exactly nothing, and the copy
+/// carries one trailing zero so the last row's extra read stays in it.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2 support
+/// (`is_x86_feature_detected!("avx2")`). Buffer lengths are checked
+/// here; results are only meaningful if `packed` was packed for `p`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn conv2d_q_avx2(
+    input: &QTensor,
+    p: &ConvParams,
+    packed: &[i8],
+    bias_q: &[i32],
+    scratch: &mut Scratch,
+    acc: &mut [i32],
+) {
+    use std::arch::x86_64::*;
+
+    let (ih, iw, ic) = (input.h(), input.w(), input.c());
+    let (oh, ow) = p.out_hw(ih, iw);
+    let iwp = iw + 2 * p.pad;
+    let row_stride = iwp * ic;
+    let pairs = (p.k * ic).div_ceil(2);
+    let xw = &mut scratch.panel_w;
+    xw.clear();
+    xw.resize((ih + 2 * p.pad) * row_stride + 1, 0);
+    for (src, dst) in input
+        .codes
+        .chunks_exact(iw * ic)
+        .zip(xw[p.pad * row_stride + p.pad * ic..].chunks_mut(row_stride))
+    {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = i16::from(s);
+        }
+    }
+    // Window origin of every output pixel in the padded copy.
+    let origins = &mut scratch.origins;
+    origins.clear();
+    for oy in 0..oh {
+        origins.extend((0..ow).map(|ox| (oy * iwp + ox) * p.stride * ic));
+    }
+    let Some(&last) = origins.last() else {
+        return;
+    };
+    // Every read below is at `origin + ky·row_stride + 2j` (+1) with
+    // `ky < k` and `j < pairs`, so this bounds them all.
+    assert!(last + (p.k - 1) * row_stride + 2 * pairs <= xw.len());
+    // Every weight read is 16 codes at `ky · pairs · 16 + 16j` inside one
+    // block of `block_len`, so this bounds them all.
+    let block_len = p.k * pairs * 2 * OC_BLOCK;
+    assert_eq!(
+        packed.len(),
+        p.out_ch.div_ceil(OC_BLOCK) * block_len,
+        "packed weights length"
+    );
+    let xp = xw.as_ptr();
+    let out_ch = p.out_ch;
+    for (block, wblock) in packed.chunks_exact(block_len).enumerate() {
+        let oc0 = block * OC_BLOCK;
+        let lanes = OC_BLOCK.min(out_ch - oc0);
+        let mut bias = [0i32; OC_BLOCK];
+        bias[..lanes].copy_from_slice(&bias_q[oc0..oc0 + lanes]);
+        // SAFETY: `bias` holds exactly eight i32.
+        let bias = unsafe { _mm256_loadu_si256(bias.as_ptr().cast()) };
+        for (t, tile) in origins.chunks(PX_TILE).enumerate() {
+            // A short tail tile repeats its last pixel; only real pixels
+            // are stored.
+            let o = |i: usize| tile[i.min(tile.len() - 1)];
+            let (o0, o1, o2, o3) = (o(0), o(1), o(2), o(3));
+            let (mut a0, mut a1, mut a2, mut a3) = (bias, bias, bias, bias);
+            for ky in 0..p.k {
+                let r = ky * row_stride;
+                let wrow = wblock[ky * pairs * 2 * OC_BLOCK..].as_ptr();
+                for j in 0..pairs {
+                    // SAFETY: the pair reads are bounded by the assert on
+                    // `xw` above; `wrow + 16j + 16` stays inside this
+                    // block's `k · pairs · 16` codes.
+                    unsafe {
+                        let w = _mm256_cvtepi8_epi16(_mm_loadu_si128(wrow.add(16 * j).cast()));
+                        let x = |o: usize| {
+                            _mm256_set1_epi32(xp.add(o + r + 2 * j).cast::<i32>().read_unaligned())
+                        };
+                        a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(x(o0), w));
+                        a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(x(o1), w));
+                        a2 = _mm256_add_epi32(a2, _mm256_madd_epi16(x(o2), w));
+                        a3 = _mm256_add_epi32(a3, _mm256_madd_epi16(x(o3), w));
+                    }
+                }
+            }
+            for (i, a) in [a0, a1, a2, a3].into_iter().take(tile.len()).enumerate() {
+                let dst = &mut acc[(t * PX_TILE + i) * out_ch + oc0..][..lanes];
+                if lanes == OC_BLOCK {
+                    // SAFETY: `dst` is exactly eight i32.
+                    unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), a) };
+                } else {
+                    let mut lane_vals = [0i32; OC_BLOCK];
+                    // SAFETY: `lane_vals` holds exactly eight i32.
+                    unsafe { _mm256_storeu_si256(lane_vals.as_mut_ptr().cast(), a) };
+                    dst.copy_from_slice(&lane_vals[..lanes]);
+                }
+            }
+        }
     }
 }
 
@@ -381,51 +614,27 @@ fn gemm_q(
     }
 }
 
-/// [`gemm_q`] recompiled with AVX2 enabled (256-bit widening multiplies).
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 support
-/// (`is_x86_feature_detected!("avx2")`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gemm_q_avx2(
-    panel: &[i8],
-    tile: usize,
-    k2ic: usize,
-    wcodes: &[i8],
-    out_ch: usize,
-    bias_q: &[i32],
-    acc: &mut [i32],
-) {
-    gemm_q(panel, tile, k2ic, wcodes, out_ch, bias_q, acc)
-}
-
-/// Picks the widest microkernel the CPU supports. The feature probe is a
-/// cached atomic load in `std`, so dispatching per tile is free.
-fn gemm_q_dispatch(
-    panel: &[i8],
-    tile: usize,
-    k2ic: usize,
-    wcodes: &[i8],
-    out_ch: usize,
-    bias_q: &[i32],
-    acc: &mut [i32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified.
-        return unsafe { gemm_q_avx2(panel, tile, k2ic, wcodes, out_ch, bias_q, acc) };
-    }
-    gemm_q(panel, tile, k2ic, wcodes, out_ch, bias_q, acc)
+avx2_dispatch! {
+    /// Picks the widest GEMM microkernel the CPU supports.
+    fn gemm_q_dispatch / gemm_q_avx2 => gemm_q(
+        panel: &[i8],
+        tile: usize,
+        k2ic: usize,
+        wcodes: &[i8],
+        out_ch: usize,
+        bias_q: &[i32],
+        acc: &mut [i32],
+    )
 }
 
 /// Optimized integer convolution returning fresh accumulators.
 pub fn conv2d_q(input: &QTensor, p: &ConvParams, wcodes: &[i8], bias_q: &[i32]) -> Vec<i32> {
     let (oh, ow) = p.out_hw(input.h(), input.w());
     let mut acc = vec![0i32; oh * ow * p.out_ch];
+    let mut packed = Vec::new();
+    pack_conv_weights(p, wcodes, &mut packed);
     let mut scratch = Scratch::new();
-    conv2d_q_into(input, p, wcodes, bias_q, &mut scratch, &mut acc);
+    conv2d_q_into(input, p, wcodes, &packed, bias_q, &mut scratch, &mut acc);
     acc
 }
 
@@ -462,6 +671,160 @@ pub fn dense_q(
     let mut acc = vec![0i32; out_len];
     dense_q_into(input, in_len, out_len, wcodes, bias_q, &mut acc);
     acc
+}
+
+/// `1.5 · 2²³`: adding it to an integral `f32` of magnitude below 2²² is
+/// exact and leaves the integer's two's-complement bits in the low bits
+/// of the sum's mantissa.
+const INT_BITS_MAGIC: f32 = 12_582_912.0;
+
+/// The integer datapath's one code-rounding rule: round half away from
+/// zero, saturate into the code range of `format`, and map NaN to 0 —
+/// exactly `v.round().clamp(lo, hi) as i8`. Every activation code the
+/// quantized executor writes goes through it, by way of the slice
+/// epilogues below.
+///
+/// The epilogues are compiled a second time for AVX2: on baseline x86-64
+/// (SSE2) `f32::round` has no instruction and becomes a `roundf` call per
+/// element, which also blocks vectorization, while with AVX2 it lowers to
+/// `vroundps`. The final conversion reads the code out of the mantissa
+/// bits instead of using a saturating `as` cast, which LLVM would split
+/// into one scalar conversion per lane; the clamp already bounds the
+/// value, so the two agree.
+#[inline(always)]
+fn round_code(v: f32, format: IntFormat) -> i8 {
+    let (lo, hi) = (format.min_value() as f32, format.max_value() as f32);
+    let r = v.round().clamp(lo, hi);
+    if r.is_nan() {
+        0
+    } else {
+        (r + INT_BITS_MAGIC).to_bits() as i8
+    }
+}
+
+/// `dst[i] = round_code(src[i] / scale)`.
+#[inline(always)]
+fn quantize_body(src: &[f32], scale: f32, format: IntFormat, dst: &mut [i8]) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = round_code(v / scale, format);
+    }
+}
+
+/// Per-channel requantization of HWC accumulators: channel `ch` of every
+/// pixel scales by `rescales[ch]`, then optional ReLU, then rounding.
+#[inline(always)]
+fn requantize_body(acc: &[i32], rescales: &[f32], relu: bool, format: IntFormat, dst: &mut [i8]) {
+    let c = rescales.len();
+    for (d, a) in dst.chunks_exact_mut(c).zip(acc.chunks_exact(c)) {
+        for ((d, &a), &r) in d.iter_mut().zip(a).zip(rescales) {
+            let mut v = a as f32 * r;
+            if relu && v < 0.0 {
+                v = 0.0;
+            }
+            *d = round_code(v, format);
+        }
+    }
+}
+
+/// Residual add of two code tensors into a third scale.
+#[inline(always)]
+fn add_body(
+    a: &QTensor,
+    b: &QTensor,
+    out_scale: f32,
+    relu: bool,
+    format: IntFormat,
+    dst: &mut [i8],
+) {
+    let (a_scale, b_scale) = (a.scale, b.scale);
+    for ((d, &x), &y) in dst.iter_mut().zip(&a.codes).zip(&b.codes) {
+        let mut v = (f32::from(x) * a_scale + f32::from(y) * b_scale) / out_scale;
+        if relu && v < 0.0 {
+            v = 0.0;
+        }
+        *d = round_code(v, format);
+    }
+}
+
+/// Rescales pixel rows of `width` codes from `scale` to `out_scale`,
+/// writing row `i` at `dst[i * dst_stride..]` (concat writes each input's
+/// channels into a slot of the wider output pixel).
+#[inline(always)]
+fn rescale_body(
+    src: &[i8],
+    width: usize,
+    scale: f32,
+    out_scale: f32,
+    format: IntFormat,
+    dst: &mut [i8],
+    dst_stride: usize,
+) {
+    for (s, d) in src.chunks_exact(width).zip(dst.chunks_mut(dst_stride)) {
+        for (d, &x) in d.iter_mut().zip(s) {
+            *d = round_code(f32::from(x) * scale / out_scale, format);
+        }
+    }
+}
+
+avx2_dispatch! {
+    /// Quantizes floats: `dst[i] = round_code(src[i] / scale)` over the
+    /// common length.
+    pub fn quantize_into / quantize_avx2 => quantize_body(
+        src: &[f32],
+        scale: f32,
+        format: IntFormat,
+        dst: &mut [i8],
+    )
+}
+
+avx2_dispatch! {
+    /// Requantizes HWC accumulators with per-channel factors
+    /// (`rescales.len()` is the channel count; a single factor applies
+    /// uniformly), zeroing negatives first when `relu` is set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rescales` is empty.
+    pub fn requantize_into / requantize_avx2 => requantize_body(
+        acc: &[i32],
+        rescales: &[f32],
+        relu: bool,
+        format: IntFormat,
+        dst: &mut [i8],
+    )
+}
+
+avx2_dispatch! {
+    /// Adds two code tensors elementwise in real units and requantizes:
+    /// `dst[i] = round_code(relu?((a.codes[i]·a.scale + b.codes[i]·b.scale) / out_scale))`
+    /// over the common length.
+    pub fn add_into / add_avx2 => add_body(
+        a: &QTensor,
+        b: &QTensor,
+        out_scale: f32,
+        relu: bool,
+        format: IntFormat,
+        dst: &mut [i8],
+    )
+}
+
+avx2_dispatch! {
+    /// Requantizes rows of `width` codes from `scale` to `out_scale`
+    /// (`round_code(x · scale / out_scale)`), writing row `i` at
+    /// `dst[i · dst_stride..]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` or `dst_stride` is zero.
+    pub fn rescale_into / rescale_avx2 => rescale_body(
+        src: &[i8],
+        width: usize,
+        scale: f32,
+        out_scale: f32,
+        format: IntFormat,
+        dst: &mut [i8],
+        dst_stride: usize,
+    )
 }
 
 #[cfg(test)]
@@ -576,5 +939,285 @@ mod tests {
             reference::dense_q(&input, 23, 5, &wcodes, &bias_q),
             dense_q(&input, 23, 5, &wcodes, &bias_q)
         );
+    }
+
+    /// Both builds of every multiversioned routine run here only when the
+    /// CPU has AVX2; otherwise the dispatchers only ever take the portable
+    /// body and there is nothing to compare.
+    #[cfg(target_arch = "x86_64")]
+    fn has_avx2() -> bool {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+
+    fn formats() -> impl Iterator<Item = IntFormat> {
+        (1..=8).map(|bits| IntFormat::new(bits).expect("width in 1..=8"))
+    }
+
+    /// Pre-rounding values that stress [`round_code`]: ties, signed zero,
+    /// NaN, infinities, values past the `i32` range, the code-range edges
+    /// ± 1, and a ramp of ordinary values.
+    fn edge_values(format: IntFormat) -> Vec<f32> {
+        let (lo, hi) = (format.min_value() as f32, format.max_value() as f32);
+        let mut v = vec![
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            0.0,
+            -0.0,
+            0.499_999_97,
+            -0.499_999_97,
+            f32::NAN,
+            -f32::NAN,
+            // NaNs whose payload reaches the low mantissa bits.
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0xffff_ffff),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            2_147_483_648.0,
+            -2_147_483_648.0,
+            -2_147_483_904.0,
+            3e9,
+            -3e9,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            8_388_609.0,
+            4_194_304.5,
+        ];
+        for edge in [lo, hi] {
+            v.extend([edge - 1.0, edge - 0.5, edge, edge + 0.5, edge + 1.0]);
+        }
+        v.extend((-300..300).map(|i| i as f32 * 0.37));
+        v
+    }
+
+    #[test]
+    fn round_code_rounds_half_away_and_saturates() {
+        let int4 = IntFormat::new(4).expect("INT4");
+        let cases = [
+            (0.5, 1),
+            (-0.5, -1),
+            (1.5, 2),
+            (2.5, 3),
+            (-2.5, -3),
+            (0.499_999_97, 0),
+            (-0.0, 0),
+            (f32::NAN, 0),
+            (f32::INFINITY, 7),
+            (f32::NEG_INFINITY, -8),
+            (3e9, 7),
+            (-3e9, -8),
+            (7.5, 7),
+            (-8.5, -8),
+        ];
+        for (v, want) in cases {
+            assert_eq!(round_code(v, int4), want, "{v}");
+        }
+    }
+
+    /// The mantissa-bits conversion is the saturating `as` cast it
+    /// replaces, on every edge value of every format.
+    #[test]
+    fn round_code_is_round_clamp_cast() {
+        for format in formats() {
+            let (lo, hi) = (format.min_value() as f32, format.max_value() as f32);
+            for v in edge_values(format) {
+                assert_eq!(round_code(v, format), v.round().clamp(lo, hi) as i8, "{v}");
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn quantize_epilogue_builds_agree() {
+        if !has_avx2() {
+            return;
+        }
+        for format in formats() {
+            let src = edge_values(format);
+            for scale in [1.0f32, 0.5, -1.0, 3.0, 1e-30] {
+                for len in (1..=17).chain([src.len() - 3]) {
+                    for start in [0, 3] {
+                        let src = &src[start..start + len];
+                        let mut want = vec![0i8; len];
+                        let mut got = vec![0i8; len];
+                        quantize_body(src, scale, format, &mut want);
+                        // SAFETY: AVX2 support was just verified.
+                        unsafe { quantize_avx2(src, scale, format, &mut got) };
+                        assert_eq!(want, got, "INT{} scale={scale} len={len}", format.bits());
+                    }
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn requantize_epilogue_builds_agree() {
+        if !has_avx2() {
+            return;
+        }
+        // Factor × accumulator products cover ties (0.5 × odd), -0.0
+        // (-1 × 0), NaN (NaN × a, ∞ × 0), ±∞, values past i32 (i32
+        // extremes × 1 and × 4) and the code-range edges ± 1 (× 1).
+        let factors = [
+            1.0f32,
+            0.5,
+            -0.5,
+            -1.0,
+            0.25,
+            4.0,
+            1.0 / 3.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e30,
+        ];
+        for format in formats() {
+            let (lo, hi) = (format.min_value(), format.max_value());
+            let mut accs = vec![
+                0,
+                1,
+                -1,
+                3,
+                -3,
+                5,
+                -5,
+                255,
+                -255,
+                i32::MAX,
+                i32::MIN,
+                77_777,
+            ];
+            accs.extend([lo - 1, lo, lo + 1, hi - 1, hi, hi + 1]);
+            accs.extend(-40..40);
+            for relu in [false, true] {
+                for c in 1..=17 {
+                    for shift in 0..factors.len() {
+                        let rescales: Vec<f32> = (0..c)
+                            .map(|ch| factors[(ch + shift) % factors.len()])
+                            .collect();
+                        let pixels = accs.len();
+                        let acc: Vec<i32> = (0..pixels * c)
+                            .map(|i| accs[(i / c + i % c) % accs.len()])
+                            .collect();
+                        let mut want = vec![0i8; pixels * c];
+                        let mut got = vec![0i8; pixels * c];
+                        requantize_body(&acc, &rescales, relu, format, &mut want);
+                        // SAFETY: AVX2 support was just verified.
+                        unsafe { requantize_avx2(&acc, &rescales, relu, format, &mut got) };
+                        assert_eq!(
+                            want,
+                            got,
+                            "INT{} relu={relu} c={c} shift={shift}",
+                            format.bits()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn add_and_rescale_epilogue_builds_agree() {
+        if !has_avx2() {
+            return;
+        }
+        let codes: Vec<i8> = (-128..=127).collect();
+        let flipped: Vec<i8> = codes.iter().rev().copied().collect();
+        let scales = [1.0f32, 0.5, 0.25, -0.5, 3.0, 1e30, f32::NAN, f32::INFINITY];
+        for format in formats() {
+            for &sa in &scales {
+                for &sb in &scales {
+                    for out_scale in [1.0f32, 0.5, 7.0] {
+                        for relu in [false, true] {
+                            for len in (1..=17).chain([codes.len()]) {
+                                let mut a = QTensor::zeros(1, 1, len, sa);
+                                a.codes.copy_from_slice(&codes[..len]);
+                                let mut b = QTensor::zeros(1, 1, len, sb);
+                                b.codes.copy_from_slice(&flipped[..len]);
+                                let mut want = vec![0i8; len];
+                                let mut got = vec![0i8; len];
+                                add_body(&a, &b, out_scale, relu, format, &mut want);
+                                // SAFETY: AVX2 support was just verified.
+                                unsafe { add_avx2(&a, &b, out_scale, relu, format, &mut got) };
+                                assert_eq!(want, got, "INT{} {sa}/{sb}/{out_scale}", format.bits());
+                            }
+                        }
+                    }
+                }
+                for width in 1..=17 {
+                    let stride = width + 3;
+                    let src = &codes[..width * (codes.len() / width)];
+                    let rows = src.len() / width;
+                    let mut want = vec![0i8; rows * stride];
+                    let mut got = vec![0i8; rows * stride];
+                    rescale_body(src, width, sa, 0.5, format, &mut want[2..], stride);
+                    // SAFETY: AVX2 support was just verified.
+                    unsafe { rescale_avx2(src, width, sa, 0.5, format, &mut got[2..], stride) };
+                    assert_eq!(want, got, "INT{} scale={sa} width={width}", format.bits());
+                }
+            }
+        }
+    }
+
+    /// The AVX2 conv microkernel against the portable im2col GEMM (and
+    /// the reference): odd and even `k·ic`, every `out_ch` in 1..=17 so
+    /// the last channel block is partial, pixel counts that leave a
+    /// partial tile, strides 1–2, 1×1 and kernels larger than the input.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn conv_q_builds_agree() {
+        if !has_avx2() {
+            return;
+        }
+        let shapes = [
+            (5, 5, 3, 1, 1),
+            (6, 7, 1, 1, 0),
+            (7, 6, 3, 2, 1),
+            (3, 3, 5, 1, 2),
+            (2, 3, 5, 2, 2),
+            (9, 4, 2, 2, 0),
+        ];
+        for (ih, iw, k, stride, pad) in shapes {
+            for in_ch in [1, 2, 3, 5] {
+                for out_ch in 1..=17 {
+                    let p = ConvParams {
+                        in_ch,
+                        out_ch,
+                        k,
+                        stride,
+                        pad,
+                        relu: false,
+                    };
+                    let input = qtensor(ih, iw, in_ch, (k * 7 + in_ch) as i32);
+                    let wcodes: Vec<i8> = (0..p.weight_count())
+                        .map(|i| (((i * 29 + out_ch) % 256) as i32 - 128) as i8)
+                        .collect();
+                    let bias_q: Vec<i32> = (0..out_ch).map(|i| i as i32 * 977 - 5000).collect();
+                    let (oh, ow) = p.out_hw(ih, iw);
+                    let mut scratch = Scratch::new();
+                    let mut want = vec![0i32; oh * ow * out_ch];
+                    conv2d_q_portable(&input, &p, &wcodes, &bias_q, &mut scratch, &mut want);
+                    let mut packed = Vec::new();
+                    pack_conv_weights(&p, &wcodes, &mut packed);
+                    let mut got = vec![0i32; oh * ow * out_ch];
+                    // SAFETY: AVX2 support was just verified; `packed` is
+                    // packed for `p` and every buffer has its length.
+                    unsafe { conv2d_q_avx2(&input, &p, &packed, &bias_q, &mut scratch, &mut got) };
+                    let shape = format!("{ih}x{iw}x{in_ch} k={k} s={stride} p={pad} oc={out_ch}");
+                    assert_eq!(want, got, "{shape}");
+                    assert_eq!(
+                        reference::conv2d_q(&input, &p, &wcodes, &bias_q),
+                        want,
+                        "{shape}"
+                    );
+                }
+            }
+        }
     }
 }

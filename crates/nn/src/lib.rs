@@ -6,9 +6,10 @@
 //! * [`graph`] — the layer DAG (conv / pool / dense / batch-norm /
 //!   residual / inception-concat / softmax) and the float reference
 //!   executor.
-//! * [`kernels`] — the optimized im2col + blocked-GEMM conv/dense
-//!   kernels both executors run on, with a reusable [`kernels::Scratch`]
-//!   arena.
+//! * [`kernels`] — the optimized conv/dense kernels both executors run
+//!   on (im2col + blocked GEMM, and an AVX2 int8 conv microkernel), the
+//!   integer datapath's rounding epilogues, and a reusable
+//!   [`kernels::Scratch`] arena.
 //! * [`reference`] — the retained naive kernels: the semantic ground
 //!   truth the differential test suite diffs [`kernels`] against.
 //! * [`quant`] — DECENT-style symmetric INT8..INT4 post-training

@@ -18,6 +18,7 @@ use crate::kernels;
 use crate::reference;
 use crate::tensor::{QTensor, Tensor};
 use redvolt_num::fixed::{IntFormat, QuantScale};
+use std::sync::Arc;
 
 /// A planned transient bit flip: element index and bit position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,6 +89,9 @@ enum QOp {
         /// `input_scale · wscale / out_scale` — static after calibration,
         /// so the executor never materializes them per inference.
         rescales: Vec<f32>,
+        /// `wcodes` in the AVX2 microkernel's layout
+        /// ([`kernels::pack_conv_weights`]), shared by clones of the graph.
+        packed: Arc<[i8]>,
     },
     Dense {
         in_len: usize,
@@ -201,6 +205,9 @@ pub struct ExecScratch {
     /// weight bits in place, so a faulted layer's codes are copied here,
     /// flipped, and the kernel runs on the copy.
     wbuf: Vec<i8>,
+    /// `wbuf` repacked for the conv microkernel, so faulted codes reach
+    /// it rather than the layer's clean packed cache.
+    wpacked: Vec<i8>,
     /// Float staging buffer (softmax input, dequantized logits).
     fbuf: Vec<f32>,
     /// Float logits of the output node, valid after a forward pass.
@@ -213,11 +220,6 @@ impl ExecScratch {
     /// An empty arena; buffers size themselves on first use.
     pub fn new() -> Self {
         ExecScratch::default()
-    }
-
-    /// Float logits of the output node, valid after a shared-graph run.
-    pub fn final_logits(&self) -> &[f32] {
-        &self.final_float
     }
 }
 
@@ -312,8 +314,11 @@ impl QuantizedGraph {
                         .iter()
                         .map(|&ws| act_scale * ws / out_scale)
                         .collect();
+                    let mut packed = Vec::new();
+                    kernels::pack_conv_weights(params, &wcodes, &mut packed);
                     QOp::Conv {
                         params: *params,
+                        packed: packed.into(),
                         wcodes,
                         wscales,
                         bias_q,
@@ -429,11 +434,6 @@ impl QuantizedGraph {
     /// the end-to-end speedup on the same graph.
     pub fn set_reference_kernels(&mut self, on: bool) {
         self.use_reference = on;
-    }
-
-    /// Whether the naive reference kernels are active.
-    pub fn reference_kernels(&self) -> bool {
-        self.use_reference
     }
 
     /// Operand precision in bits.
@@ -795,6 +795,7 @@ impl QuantizedGraph {
             acts,
             acc,
             wbuf,
+            wpacked,
             fbuf,
             final_float,
             final_shape,
@@ -816,24 +817,26 @@ impl QuantizedGraph {
             let out_scale = node.out_scale;
             let (before, rest) = acts.split_at_mut(id);
             let out = &mut rest[0];
-            match &node.op {
-                QOp::Input => quantize_image_into(image, out_scale, format, out),
+            // Conv and dense nodes hand their requantization factors and
+            // ReLU flag to the shared activation stage below.
+            let requantize = match &node.op {
+                QOp::Input => {
+                    out.reset(image.h(), image.w(), image.c(), out_scale);
+                    kernels::quantize_into(image.data(), out_scale, format, &mut out.codes);
+                    None
+                }
                 QOp::Conv {
                     params,
                     wcodes,
                     bias_q,
                     rescales,
+                    packed,
                     ..
                 } => {
                     let input = &before[inputs[0]];
                     let macs_per_out = params.k * params.k * params.in_ch;
                     let (oh, ow) = params.out_hw(input.h(), input.w());
-                    // Accumulator stage: compute + checksum-verify, with a
-                    // bounded re-execution loop under `Correct`. An `Off`
-                    // policy breaks after one pass having done no checksum
-                    // work and exactly the undefended injector draws.
-                    let mut attempt = 0u32;
-                    loop {
+                    run_checked(defense, stats, || {
                         let (weights, weight_faulted) =
                             faulted_weights(injector, name, wcodes, format, wbuf);
                         acc.clear();
@@ -841,65 +844,18 @@ impl QuantizedGraph {
                             acc.extend(reference::conv2d_q(input, params, weights, bias_q));
                         } else {
                             acc.resize(oh * ow * params.out_ch, 0);
-                            kernels::conv2d_q_into(input, params, weights, bias_q, ks, acc);
+                            let packed: &[i8] = if weight_faulted {
+                                kernels::pack_conv_weights(params, weights, wpacked);
+                                wpacked
+                            } else {
+                                packed
+                            };
+                            kernels::conv2d_q_into(input, params, weights, packed, bias_q, ks, acc);
                         }
-                        let clean = if defense.is_on() {
-                            IntChecksum::of_acc(acc)
-                        } else {
-                            IntChecksum::default()
-                        };
-                        for f in injector.plan_accumulator_faults(name, acc.len(), macs_per_out) {
-                            acc[f.index] ^= 1i32 << (f.bit % 31);
-                        }
-                        if !defense.is_on() {
-                            break;
-                        }
-                        stats.checks += 1;
-                        if !weight_faulted && IntChecksum::of_acc(acc) == clean {
-                            break;
-                        }
-                        stats.mismatches += 1;
-                        if attempt >= defense.reexec_budget() {
-                            if defense.mode == DefenseMode::Correct {
-                                stats.unresolved += 1;
-                            }
-                            break;
-                        }
-                        attempt += 1;
-                        stats.reexecutions += 1;
-                    }
-                    // Activation stage: requantize + checksum-verify the
-                    // quantized output codes against activation flips.
-                    let mut attempt = 0u32;
-                    loop {
-                        requantize_into(acc, shape, rescales, out_scale, params.relu, format, out);
-                        let clean = if defense.is_on() {
-                            IntChecksum::of_codes(&out.codes)
-                        } else {
-                            IntChecksum::default()
-                        };
-                        for f in
-                            injector.plan_activation_faults(name, out.codes.len(), format.bits())
-                        {
-                            flip_code(&mut out.codes[f.index], f.bit, format);
-                        }
-                        if !defense.is_on() {
-                            break;
-                        }
-                        stats.checks += 1;
-                        if IntChecksum::of_codes(&out.codes) == clean {
-                            break;
-                        }
-                        stats.mismatches += 1;
-                        if attempt >= defense.reexec_budget() {
-                            if defense.mode == DefenseMode::Correct {
-                                stats.unresolved += 1;
-                            }
-                            break;
-                        }
-                        attempt += 1;
-                        stats.reexecutions += 1;
-                    }
+                        inject_acc_faults(injector, name, acc, macs_per_out, defense)
+                            && !weight_faulted
+                    });
+                    Some((rescales, params.relu))
                 }
                 QOp::Dense {
                     in_len,
@@ -911,8 +867,7 @@ impl QuantizedGraph {
                     ..
                 } => {
                     let input = &before[inputs[0]];
-                    let mut attempt = 0u32;
-                    loop {
+                    run_checked(defense, stats, || {
                         let (weights, weight_faulted) =
                             faulted_weights(injector, name, wcodes, format, wbuf);
                         acc.clear();
@@ -924,78 +879,32 @@ impl QuantizedGraph {
                             acc.resize(*out_len, 0);
                             kernels::dense_q_into(input, *in_len, *out_len, weights, bias_q, acc);
                         }
-                        let clean = if defense.is_on() {
-                            IntChecksum::of_acc(acc)
-                        } else {
-                            IntChecksum::default()
-                        };
-                        for f in injector.plan_accumulator_faults(name, acc.len(), *in_len) {
-                            acc[f.index] ^= 1i32 << (f.bit % 31);
-                        }
-                        if !defense.is_on() {
-                            break;
-                        }
-                        stats.checks += 1;
-                        if !weight_faulted && IntChecksum::of_acc(acc) == clean {
-                            break;
-                        }
-                        stats.mismatches += 1;
-                        if attempt >= defense.reexec_budget() {
-                            if defense.mode == DefenseMode::Correct {
-                                stats.unresolved += 1;
-                            }
-                            break;
-                        }
-                        attempt += 1;
-                        stats.reexecutions += 1;
-                    }
-                    let mut attempt = 0u32;
-                    loop {
-                        requantize_into(acc, shape, rescales, out_scale, *relu, format, out);
-                        let clean = if defense.is_on() {
-                            IntChecksum::of_codes(&out.codes)
-                        } else {
-                            IntChecksum::default()
-                        };
-                        for f in
-                            injector.plan_activation_faults(name, out.codes.len(), format.bits())
-                        {
-                            flip_code(&mut out.codes[f.index], f.bit, format);
-                        }
-                        if !defense.is_on() {
-                            break;
-                        }
-                        stats.checks += 1;
-                        if IntChecksum::of_codes(&out.codes) == clean {
-                            break;
-                        }
-                        stats.mismatches += 1;
-                        if attempt >= defense.reexec_budget() {
-                            if defense.mode == DefenseMode::Correct {
-                                stats.unresolved += 1;
-                            }
-                            break;
-                        }
-                        attempt += 1;
-                        stats.reexecutions += 1;
-                    }
+                        inject_acc_faults(injector, name, acc, *in_len, defense) && !weight_faulted
+                    });
+                    Some((rescales, *relu))
                 }
-                QOp::MaxPool { k, stride } => max_pool_q_into(&before[inputs[0]], *k, *stride, out),
+                QOp::MaxPool { k, stride } => {
+                    max_pool_q_into(&before[inputs[0]], *k, *stride, out);
+                    None
+                }
                 QOp::AvgPool { k, stride } => {
-                    avg_pool_q_into(&before[inputs[0]], *k, *stride, out_scale, format, out)
+                    avg_pool_q_into(&before[inputs[0]], *k, *stride, out_scale, format, acc, out);
+                    None
                 }
                 QOp::GlobalAvgPool => {
-                    global_avg_pool_q_into(&before[inputs[0]], out_scale, format, out)
+                    global_avg_pool_q_into(&before[inputs[0]], out_scale, format, acc, out);
+                    None
                 }
-                QOp::Add { relu } => add_q_into(
-                    &before[inputs[0]],
-                    &before[inputs[1]],
-                    out_scale,
-                    *relu,
-                    format,
-                    out,
-                ),
-                QOp::Concat => concat_q_into(inputs, before, shape, out_scale, format, out),
+                QOp::Add { relu } => {
+                    let (a, b) = (&before[inputs[0]], &before[inputs[1]]);
+                    out.reset(a.h(), a.w(), a.c(), out_scale);
+                    kernels::add_into(a, b, out_scale, *relu, format, &mut out.codes);
+                    None
+                }
+                QOp::Concat => {
+                    concat_q_into(inputs, before, shape, out_scale, format, out);
+                    None
+                }
                 QOp::Softmax => {
                     // Dequantize the logits into the float staging buffer
                     // and apply a numerically-stable softmax in place.
@@ -1022,12 +931,22 @@ impl QuantizedGraph {
                     }
                     // Store probabilities quantized on the out scale.
                     out.reset(1, 1, fbuf.len(), out_scale);
-                    let hi = format.max_value() as f32;
-                    let lo = format.min_value() as f32;
-                    for (code, &v) in out.codes.iter_mut().zip(fbuf.iter()) {
-                        *code = (v / out_scale).round().clamp(lo, hi) as i8;
-                    }
+                    kernels::quantize_into(fbuf, out_scale, format, &mut out.codes);
+                    None
                 }
+            };
+            // Activation stage of conv and dense: requantize, then
+            // checksum-verify the codes against activation flips.
+            if let Some((rescales, relu)) = requantize {
+                run_checked(defense, stats, || {
+                    out.reset(shape.h, shape.w, shape.c, out_scale);
+                    kernels::requantize_into(acc, rescales, relu, format, &mut out.codes);
+                    let clean = defense.is_on().then(|| IntChecksum::of_codes(&out.codes));
+                    for f in injector.plan_activation_faults(name, out.codes.len(), format.bits()) {
+                        flip_code(&mut out.codes[f.index], f.bit, format);
+                    }
+                    clean.is_some_and(|c| IntChecksum::of_codes(&out.codes) == c)
+                });
             }
         }
         if !softmax_output {
@@ -1044,6 +963,53 @@ impl QuantizedGraph {
     }
 }
 
+/// The ABFT loop every checked stage runs. `pass` computes the stage,
+/// injects its planned faults and reports whether the result still
+/// matches the checksum taken before injection. With the defense off
+/// that is one pass with no checksum work and exactly the undefended
+/// injector draws; otherwise each pass counts as a check, and a mismatch
+/// re-executes within the policy's budget, `Correct` counting an
+/// exhausted budget as unresolved.
+fn run_checked(defense: DefensePolicy, stats: &mut DefenseStats, mut pass: impl FnMut() -> bool) {
+    let mut attempt = 0u32;
+    loop {
+        let verified = pass();
+        if !defense.is_on() {
+            return;
+        }
+        stats.checks += 1;
+        if verified {
+            return;
+        }
+        stats.mismatches += 1;
+        if attempt >= defense.reexec_budget() {
+            if defense.mode == DefenseMode::Correct {
+                stats.unresolved += 1;
+            }
+            return;
+        }
+        attempt += 1;
+        stats.reexecutions += 1;
+    }
+}
+
+/// Applies the planned accumulator flips of one kernel pass and reports
+/// whether `acc` still matches its checksum from before the flips
+/// (`false`, and no checksum work, with the defense off).
+fn inject_acc_faults(
+    injector: &mut dyn FaultInjector,
+    layer: &str,
+    acc: &mut [i32],
+    macs_per_out: usize,
+    defense: DefensePolicy,
+) -> bool {
+    let clean = defense.is_on().then(|| IntChecksum::of_acc(acc));
+    for f in injector.plan_accumulator_faults(layer, acc.len(), macs_per_out) {
+        acc[f.index] ^= 1i32 << (f.bit % 31);
+    }
+    clean.is_some_and(|c| IntChecksum::of_acc(acc) == c)
+}
+
 fn scale_of(nodes: &[QNode], id: usize) -> f32 {
     nodes[id].out_scale
 }
@@ -1057,15 +1023,6 @@ fn runtime_scale_of(nodes: &[QNode], mut id: usize) -> f32 {
             QOp::MaxPool { .. } => id = nodes[id].inputs[0],
             _ => return nodes[id].out_scale,
         }
-    }
-}
-
-fn quantize_image_into(image: &Tensor, scale: f32, format: IntFormat, out: &mut QTensor) {
-    out.reset(image.h(), image.w(), image.c(), scale);
-    let hi = format.max_value() as f32;
-    let lo = format.min_value() as f32;
-    for (code, &v) in out.codes.iter_mut().zip(image.data()) {
-        *code = (v / scale).round().clamp(lo, hi) as i8;
     }
 }
 
@@ -1107,126 +1064,79 @@ fn flip_code(code: &mut i8, bit: u32, format: IntFormat) {
     *code = format.sign_extend(raw) as i8;
 }
 
-/// Requantizes accumulators to the output scale with per-channel rescale
-/// factors (HWC layout: channel = index % c).
-#[allow(clippy::too_many_arguments)]
-fn requantize_into(
-    acc: &[i32],
-    shape: Shape,
-    rescales: &[f32],
-    out_scale: f32,
-    relu: bool,
-    format: IntFormat,
-    out: &mut QTensor,
-) {
-    debug_assert_eq!(rescales.len(), shape.c);
-    out.reset(shape.h, shape.w, shape.c, out_scale);
-    let hi = format.max_value() as f32;
-    let lo = format.min_value() as f32;
-    let c = shape.c;
-    for (i, (code, &a)) in out.codes.iter_mut().zip(acc).enumerate() {
-        let mut v = a as f32 * rescales[i % c];
-        if relu && v < 0.0 {
-            v = 0.0;
-        }
-        *code = v.round().clamp(lo, hi) as i8;
-    }
-}
-
 fn max_pool_q_into(input: &QTensor, k: usize, stride: usize, out: &mut QTensor) {
     let oh = (input.h() - k) / stride + 1;
     let ow = (input.w() - k) / stride + 1;
     let c = input.c();
     out.reset(oh, ow, c, input.scale);
-    for oy in 0..oh {
-        for ox in 0..ow {
-            for ch in 0..c {
-                let mut m = i8::MIN;
-                for ky in 0..k {
-                    for kx in 0..k {
-                        let idx = ((oy * stride + ky) * input.w() + ox * stride + kx) * c + ch;
-                        m = m.max(input.codes[idx]);
-                    }
+    for (o, m) in out.codes.chunks_exact_mut(c).enumerate() {
+        let (oy, ox) = (o / ow, o % ow);
+        m.fill(i8::MIN);
+        for ky in 0..k {
+            for kx in 0..k {
+                let idx = ((oy * stride + ky) * input.w() + ox * stride + kx) * c;
+                for (m, &v) in m.iter_mut().zip(&input.codes[idx..idx + c]) {
+                    *m = (*m).max(v);
                 }
-                out.codes[(oy * ow + ox) * c + ch] = m;
             }
         }
     }
 }
 
 /// Average pooling with the DPU's wide internal accumulator: sums in i32
-/// and requantizes to the node's calibrated output scale, so the averaged
-/// values keep their resolution instead of being crushed to the input's
-/// integer grid.
+/// (staged in `sums`) and requantizes to the node's calibrated output
+/// scale, so the averaged values keep their resolution instead of being
+/// crushed to the input's integer grid.
 fn avg_pool_q_into(
     input: &QTensor,
     k: usize,
     stride: usize,
     out_scale: f32,
     format: IntFormat,
+    sums: &mut Vec<i32>,
     out: &mut QTensor,
 ) {
     let oh = (input.h() - k) / stride + 1;
     let ow = (input.w() - k) / stride + 1;
     let c = input.c();
     let rescale = input.scale / ((k * k) as f32 * out_scale);
-    let hi = format.max_value() as f32;
-    let lo = format.min_value() as f32;
-    out.reset(oh, ow, c, out_scale);
-    for oy in 0..oh {
-        for ox in 0..ow {
-            for ch in 0..c {
-                let mut s = 0i32;
-                for ky in 0..k {
-                    for kx in 0..k {
-                        let idx = ((oy * stride + ky) * input.w() + ox * stride + kx) * c + ch;
-                        s += i32::from(input.codes[idx]);
-                    }
+    sums.clear();
+    sums.resize(oh * ow * c, 0);
+    for (o, s) in sums.chunks_exact_mut(c).enumerate() {
+        let (oy, ox) = (o / ow, o % ow);
+        for ky in 0..k {
+            for kx in 0..k {
+                let idx = ((oy * stride + ky) * input.w() + ox * stride + kx) * c;
+                for (s, &v) in s.iter_mut().zip(&input.codes[idx..idx + c]) {
+                    *s += i32::from(v);
                 }
-                out.codes[(oy * ow + ox) * c + ch] =
-                    (s as f32 * rescale).round().clamp(lo, hi) as i8;
             }
         }
     }
+    out.reset(oh, ow, c, out_scale);
+    kernels::requantize_into(sums, &[rescale], false, format, &mut out.codes);
 }
 
 /// Global average pooling; see [`avg_pool_q_into`] for the precision model.
-fn global_avg_pool_q_into(input: &QTensor, out_scale: f32, format: IntFormat, out: &mut QTensor) {
+fn global_avg_pool_q_into(
+    input: &QTensor,
+    out_scale: f32,
+    format: IntFormat,
+    sums: &mut Vec<i32>,
+    out: &mut QTensor,
+) {
     let c = input.c();
     let n = (input.h() * input.w()) as f32;
     let rescale = input.scale / (n * out_scale);
-    let hi = format.max_value() as f32;
-    let lo = format.min_value() as f32;
+    sums.clear();
+    sums.resize(c, 0);
+    for px in input.codes.chunks_exact(c) {
+        for (s, &v) in sums.iter_mut().zip(px) {
+            *s += i32::from(v);
+        }
+    }
     out.reset(1, 1, c, out_scale);
-    for ch in 0..c {
-        let mut s = 0i32;
-        for y in 0..input.h() {
-            for x in 0..input.w() {
-                s += i32::from(input.codes[(y * input.w() + x) * c + ch]);
-            }
-        }
-        out.codes[ch] = (s as f32 * rescale).round().clamp(lo, hi) as i8;
-    }
-}
-
-fn add_q_into(
-    a: &QTensor,
-    b: &QTensor,
-    out_scale: f32,
-    relu: bool,
-    format: IntFormat,
-    out: &mut QTensor,
-) {
-    out.reset(a.h(), a.w(), a.c(), out_scale);
-    let hi = format.max_value() as f32;
-    let lo = format.min_value() as f32;
-    for i in 0..out.codes.len() {
-        let mut v = (f32::from(a.codes[i]) * a.scale + f32::from(b.codes[i]) * b.scale) / out_scale;
-        if relu && v < 0.0 {
-            v = 0.0;
-        }
-        out.codes[i] = v.round().clamp(lo, hi) as i8;
-    }
+    kernels::requantize_into(sums, &[rescale], false, format, &mut out.codes);
 }
 
 fn concat_q_into(
@@ -1238,21 +1148,19 @@ fn concat_q_into(
     out: &mut QTensor,
 ) {
     out.reset(shape.h, shape.w, shape.c, out_scale);
-    let hi = format.max_value() as f32;
-    let lo = format.min_value() as f32;
-    for y in 0..shape.h {
-        for x in 0..shape.w {
-            let mut off = 0;
-            for &ti in input_ids {
-                let t = &acts[ti];
-                for ch in 0..t.c() {
-                    let v = f32::from(t.codes[(y * t.w() + x) * t.c() + ch]) * t.scale / out_scale;
-                    out.codes[(y * shape.w + x) * shape.c + off + ch] =
-                        v.round().clamp(lo, hi) as i8;
-                }
-                off += t.c();
-            }
-        }
+    let mut off = 0;
+    for &ti in input_ids {
+        let t = &acts[ti];
+        kernels::rescale_into(
+            &t.codes,
+            t.c(),
+            t.scale,
+            out_scale,
+            format,
+            &mut out.codes[off..],
+            shape.c,
+        );
+        off += t.c();
     }
 }
 

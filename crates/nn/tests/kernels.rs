@@ -15,8 +15,9 @@
 //! zero-fill-based handling).
 
 use proptest::prelude::*;
-use redvolt_nn::graph::ConvParams;
+use redvolt_nn::graph::{ConvParams, GraphBuilder};
 use redvolt_nn::kernels::{self, Scratch};
+use redvolt_nn::quant::{BitFlip, FaultInjector, QuantizedGraph};
 use redvolt_nn::reference;
 use redvolt_nn::tensor::{QTensor, Tensor};
 
@@ -41,6 +42,26 @@ fn i8_at(seed: u64, i: usize) -> i8 {
         .wrapping_add(i as u64)
         .wrapping_mul(0x9e37_79b9_7f4a_7c15);
     ((h % 255) as i32 - 127) as i8
+}
+
+/// Input codes, weight codes and biases for a quantized conv test case.
+fn conv_q_operands(
+    seed: u64,
+    ih: usize,
+    iw: usize,
+    p: &ConvParams,
+) -> (QTensor, Vec<i8>, Vec<i32>) {
+    let mut input = QTensor::zeros(ih, iw, p.in_ch, 0.05);
+    for (i, code) in input.codes.iter_mut().enumerate() {
+        *code = i8_at(seed, i);
+    }
+    let wcodes = (0..p.weight_count())
+        .map(|i| i8_at(seed ^ 0x77, i))
+        .collect();
+    let bias_q = (0..p.out_ch)
+        .map(|i| i32::from(i8_at(seed ^ 0xb, i)) * 100)
+        .collect();
+    (input, wcodes, bias_q)
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -91,26 +112,24 @@ proptest! {
         prop_assert_eq!(bits(&want), bits(&got));
     }
 
+    /// Spans odd and even `k·k·ic`, `out_ch` across one to three
+    /// 8-channel blocks (mostly not a multiple of 8), pixel counts that
+    /// leave a partial 4-pixel tile, strides 1–3, 1×1 kernels and kernels
+    /// larger than the input.
     #[test]
     fn conv_q_exact_across_shapes(
         seed in 0u64..1000,
-        ih in 1usize..8,
-        iw in 1usize..8,
-        ic in 1usize..6,
-        out_ch in 1usize..10,
+        ih in 1usize..12,
+        iw in 1usize..12,
+        ic in 1usize..10,
+        out_ch in 1usize..21,
         k in 1usize..6,
         stride in 1usize..4,
         pad in 0usize..3,
     ) {
         prop_assume!(ih + 2 * pad >= k && iw + 2 * pad >= k);
         let p = ConvParams { in_ch: ic, out_ch, k, stride, pad, relu: false };
-        let mut input = QTensor::zeros(ih, iw, ic, 0.05);
-        for (i, code) in input.codes.iter_mut().enumerate() {
-            *code = i8_at(seed, i);
-        }
-        let wcodes: Vec<i8> = (0..p.weight_count()).map(|i| i8_at(seed ^ 0x77, i)).collect();
-        let bias_q: Vec<i32> =
-            (0..out_ch).map(|i| i32::from(i8_at(seed ^ 0xb, i)) * 100).collect();
+        let (input, wcodes, bias_q) = conv_q_operands(seed, ih, iw, &p);
         prop_assert_eq!(
             reference::conv2d_q(&input, &p, &wcodes, &bias_q),
             kernels::conv2d_q(&input, &p, &wcodes, &bias_q),
@@ -174,7 +193,9 @@ proptest! {
             let wq: Vec<i8> = (0..p.weight_count()).map(|i| i8_at(seed ^ 0x5, i)).collect();
             let bq: Vec<i32> = vec![11; p.out_ch];
             let mut acc = vec![0i32; oh * ow * p.out_ch];
-            kernels::conv2d_q_into(&qin, &p, &wq, &bq, &mut scratch, &mut acc);
+            let mut packed = Vec::new();
+            kernels::pack_conv_weights(&p, &wq, &mut packed);
+            kernels::conv2d_q_into(&qin, &p, &wq, &packed, &bq, &mut scratch, &mut acc);
             prop_assert_eq!(reference::conv2d_q(&qin, &p, &wq, &bq), acc);
         }
     }
@@ -231,4 +252,103 @@ fn kernel_larger_than_input_matches() {
         reference::conv2d_q(&qin, &p, &wq, &bq),
         kernels::conv2d_q(&qin, &p, &wq, &bq)
     );
+}
+
+/// The shape classes the AVX2 microkernel treats specially, pinned
+/// explicitly rather than left to sampling.
+#[test]
+fn conv_q_exact_on_microkernel_edge_shapes() {
+    let cases = [
+        // (ih, iw, in_ch, out_ch, k, stride, pad)
+        (5, 5, 3, 9, 3, 1, 1),  // odd k·k·ic = 27, 25 pixels = 6 tiles + 1
+        (6, 6, 4, 16, 3, 1, 1), // even k·k·ic, whole blocks and tiles
+        (7, 7, 5, 17, 3, 2, 1), // stride 2, 16 pixels, 17 channels
+        (5, 7, 8, 16, 1, 2, 0), // 1×1 stride 2 (skipped input pixels)
+        (4, 4, 7, 3, 1, 1, 0),  // 1×1, odd ic, out_ch < 8
+        (2, 3, 2, 12, 5, 1, 2), // kernel larger than the input
+        (1, 1, 1, 1, 1, 1, 0),  // one pixel, one channel, one tap
+        (3, 2, 3, 24, 3, 1, 2), // three full channel blocks
+    ];
+    for (n, (ih, iw, in_ch, out_ch, k, stride, pad)) in cases.into_iter().enumerate() {
+        let p = ConvParams {
+            in_ch,
+            out_ch,
+            k,
+            stride,
+            pad,
+            relu: false,
+        };
+        let (input, wcodes, bias_q) = conv_q_operands(n as u64, ih, iw, &p);
+        assert_eq!(
+            reference::conv2d_q(&input, &p, &wcodes, &bias_q),
+            kernels::conv2d_q(&input, &p, &wcodes, &bias_q),
+            "{ih}x{iw}x{in_ch} -> {out_ch} k={k} s={stride} p={pad}"
+        );
+    }
+}
+
+/// Flips one weight bit of one layer on every pass.
+struct WeightFlip {
+    layer: &'static str,
+    flip: BitFlip,
+}
+
+impl FaultInjector for WeightFlip {
+    fn plan_weight_faults(&mut self, layer: &str, _len: usize, _bits: u32) -> Vec<BitFlip> {
+        if layer == self.layer {
+            vec![self.flip]
+        } else {
+            Vec::new()
+        }
+    }
+
+    fn plan_accumulator_faults(&mut self, _: &str, _: usize, _: usize) -> Vec<BitFlip> {
+        Vec::new()
+    }
+
+    fn plan_activation_faults(&mut self, _: &str, _: usize, _: u32) -> Vec<BitFlip> {
+        Vec::new()
+    }
+}
+
+/// Copy-on-fault must reach the conv microkernel: a planned weight flip
+/// runs on freshly packed flipped codes, never on the layer's stale
+/// packed cache, and the next clean pass is clean again. The oracle is
+/// the same graph on the reference kernels, which compute
+/// `reference::conv2d_q` on the flipped codes directly.
+#[test]
+fn faulted_conv_weights_reach_the_microkernel() {
+    let p = ConvParams {
+        in_ch: 3,
+        out_ch: 11,
+        k: 3,
+        stride: 1,
+        pad: 1,
+        relu: false,
+    };
+    let mut b = GraphBuilder::new();
+    let x = b.input(6, 5, 3);
+    let weights = (0..p.weight_count()).map(|i| f32_at(31, i)).collect();
+    let bias = (0..p.out_ch).map(|i| f32_at(37, i)).collect();
+    let y = b.conv("c", x, p, weights, bias);
+    let g = b.finish(y);
+    let image = |seed: u64| Tensor::from_vec(6, 5, 3, (0..90).map(|i| f32_at(seed, i)).collect());
+    let mut q = QuantizedGraph::quantize(&g, 8, &[image(1), image(2)]).expect("quantizes");
+    let img = image(3);
+    let clean = bits(&q.forward(&img).expect("clean pass"));
+    // Bit 6 of a weight in output channel 9 (the partial second block).
+    let mut flip = WeightFlip {
+        layer: "c",
+        flip: BitFlip {
+            index: 9 * 27 + 13,
+            bit: 6,
+        },
+    };
+    let faulted = bits(&q.forward_with(&img, &mut flip).expect("faulted pass"));
+    q.set_reference_kernels(true);
+    let oracle = bits(&q.forward_with(&img, &mut flip).expect("reference pass"));
+    q.set_reference_kernels(false);
+    assert_eq!(faulted, oracle, "faulted codes must reach the kernel");
+    assert_ne!(faulted, clean, "the flip must be visible");
+    assert_eq!(bits(&q.forward(&img).expect("clean pass")), clean);
 }
