@@ -72,7 +72,7 @@ impl Settings {
         }
     }
 
-    /// Tiny settings for criterion benches and smoke tests.
+    /// Tiny settings for smoke tests: tiny-scale models on board 0.
     pub fn tiny() -> Self {
         Settings {
             boards: vec![0],
@@ -217,26 +217,6 @@ pub fn prefetch_sweeps_observed(
 /// shared sweep cache).
 pub const SWEEP_CACHED_EXPERIMENTS: [&str; 5] = ["fig3", "fig4", "fig5", "fig6", "table2"];
 
-/// Parses a `--jobs N` / `--jobs=N` argument, defaulting to the machine's
-/// available parallelism when absent and to 1 when malformed.
-pub fn parse_jobs(args: &[String]) -> usize {
-    let mut jobs = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            jobs = it.next().and_then(|v| v.parse().ok());
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            jobs = v.parse().ok();
-        }
-    }
-    jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-    .max(1)
-}
-
 /// Flags that consume the following argument. The binaries use this to
 /// tell option values apart from experiment names when filtering argv.
 pub const VALUE_FLAGS: [&str; 10] = [
@@ -257,7 +237,7 @@ pub const VALUE_FLAGS: [&str; 10] = [
 /// PMBus fault profile and the SDC defense configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignOptions {
-    /// Worker threads (`--jobs N`, 0 or absent = available parallelism).
+    /// Worker threads (`--jobs N`; absent = available parallelism, 0 = 1).
     pub jobs: usize,
     /// Image-shard workers per cell (`--image-jobs N`; 0 or absent =
     /// divide surplus workers across a cell's image batch, 1 =
@@ -292,7 +272,9 @@ pub struct CampaignOptions {
 impl Default for CampaignOptions {
     fn default() -> Self {
         CampaignOptions {
-            jobs: parse_jobs(&[]),
+            jobs: std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1),
             image_jobs: 0,
             journal: None,
             resume: false,
@@ -318,10 +300,7 @@ impl CampaignOptions {
     /// Returns a human-readable message for a missing or malformed value,
     /// an unknown fault profile, or `--resume` without `--journal`.
     pub fn from_args(args: &[String]) -> Result<Self, String> {
-        let mut opts = CampaignOptions {
-            jobs: parse_jobs(args),
-            ..CampaignOptions::default()
-        };
+        let mut opts = CampaignOptions::default();
         let mut i = 0;
         while i < args.len() {
             let (flag, inline) = match args[i].split_once('=') {
@@ -340,6 +319,13 @@ impl CampaignOptions {
                 None
             };
             match flag {
+                "--jobs" => {
+                    let jobs: usize = value
+                        .as_deref()
+                        .and_then(|v| v.parse().ok())
+                        .ok_or("--jobs needs a worker count")?;
+                    opts.jobs = jobs.max(1);
+                }
                 "--image-jobs" => {
                     opts.image_jobs = value
                         .as_deref()
@@ -1187,15 +1173,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_jobs_accepts_both_spellings_and_defaults() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_jobs(&args(&["--jobs", "3"])), 3);
-        assert_eq!(parse_jobs(&args(&["fig3", "--jobs=7", "--csv"])), 7);
-        assert_eq!(parse_jobs(&args(&["--jobs", "0"])), 1);
-        assert!(parse_jobs(&args(&["all"])) >= 1);
-    }
-
-    #[test]
     fn campaign_options_parse_both_spellings_and_validate() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let opts = CampaignOptions::from_args(&args(&[
@@ -1231,7 +1208,16 @@ mod tests {
         assert_eq!(opts.defense, DefenseMode::Correct);
         assert!(opts.governor);
 
+        let jobs = |v: &[&str]| CampaignOptions::from_args(&args(v)).unwrap().jobs;
+        assert_eq!(jobs(&["--jobs", "3"]), 3);
+        assert_eq!(jobs(&["fig3", "--jobs=7", "--csv"]), 7);
+        assert_eq!(jobs(&["--jobs", "0"]), 1);
+
         let defaults = CampaignOptions::from_args(&args(&["fig3", "--csv"])).unwrap();
+        assert!(
+            defaults.jobs >= 1,
+            "absent flag means available parallelism"
+        );
         assert_eq!(defaults.image_jobs, 0, "absent flag means auto-split");
         assert_eq!(defaults.fault_profile, BusFaultProfile::none());
         assert!(defaults.journal.is_none() && !defaults.resume);
@@ -1245,6 +1231,9 @@ mod tests {
         assert!(CampaignOptions::from_args(&args(&["--journal"])).is_err());
         assert!(CampaignOptions::from_args(&args(&["--image-jobs", "x"])).is_err());
         assert!(CampaignOptions::from_args(&args(&["--image-jobs"])).is_err());
+        assert!(CampaignOptions::from_args(&args(&["--jobs", "abc"])).is_err());
+        assert!(CampaignOptions::from_args(&args(&["--jobs=-2"])).is_err());
+        assert!(CampaignOptions::from_args(&args(&["--jobs"])).is_err());
     }
 
     #[test]

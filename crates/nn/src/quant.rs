@@ -941,8 +941,13 @@ impl QuantizedGraph {
                 run_checked(defense, stats, || {
                     out.reset(shape.h, shape.w, shape.c, out_scale);
                     kernels::requantize_into(acc, rescales, relu, format, &mut out.codes);
+                    let flips =
+                        injector.plan_activation_faults(name, out.codes.len(), format.bits());
+                    if flips.is_empty() {
+                        return defense.is_on();
+                    }
                     let clean = defense.is_on().then(|| IntChecksum::of_codes(&out.codes));
-                    for f in injector.plan_activation_faults(name, out.codes.len(), format.bits()) {
+                    for f in flips {
                         flip_code(&mut out.codes[f.index], f.bit, format);
                     }
                     clean.is_some_and(|c| IntChecksum::of_codes(&out.codes) == c)
@@ -995,7 +1000,8 @@ fn run_checked(defense: DefensePolicy, stats: &mut DefenseStats, mut pass: impl 
 
 /// Applies the planned accumulator flips of one kernel pass and reports
 /// whether `acc` still matches its checksum from before the flips
-/// (`false`, and no checksum work, with the defense off).
+/// (`false`, and no checksum work, with the defense off). A pass with no
+/// planned flip matches by construction, so it skips the checksums.
 fn inject_acc_faults(
     injector: &mut dyn FaultInjector,
     layer: &str,
@@ -1003,8 +1009,12 @@ fn inject_acc_faults(
     macs_per_out: usize,
     defense: DefensePolicy,
 ) -> bool {
+    let flips = injector.plan_accumulator_faults(layer, acc.len(), macs_per_out);
+    if flips.is_empty() {
+        return defense.is_on();
+    }
     let clean = defense.is_on().then(|| IntChecksum::of_acc(acc));
-    for f in injector.plan_accumulator_faults(layer, acc.len(), macs_per_out) {
+    for f in flips {
         acc[f.index] ^= 1i32 << (f.bit % 31);
     }
     clean.is_some_and(|c| IntChecksum::of_acc(acc) == c)
