@@ -12,9 +12,9 @@
 use crate::compiler::{self, CompileError};
 use crate::engine::{self, Timing, DEFAULT_CORES};
 use crate::isa::DpuKernel;
-use redvolt_faults::board_injector;
 use redvolt_faults::ecc::{EccInjector, EccStats};
 use redvolt_faults::model::DENSE_CRASH_SLACK_RATIO;
+use redvolt_faults::{board_injector, board_rates};
 use redvolt_fpga::board::Zcu102Board;
 use redvolt_fpga::calib::F_NOM_MHZ;
 use redvolt_fpga::ecc::Scrubber;
@@ -238,6 +238,22 @@ fn run_one_image(
         latent,
         injected: injector.into_inner().injected_count(),
     }
+}
+
+/// Fault-free outcomes of a batch's leading images, kept across calls to
+/// [`DpuRuntime::run_batch_reusing`].
+///
+/// At an operating point where the board's fault rates are all zero,
+/// every injector plans no flips and draws nothing from its RNG, so each
+/// image's outcome is independent of the batch seed: its prediction plus
+/// the deterministic ABFT check count, with no ECC, latent or injected
+/// events. Entry `i` is the outcome of image `i` of the batch, computed
+/// under the stored defense policy — the caller keeps the memo tied to
+/// one task and one image list, and drops it when either changes.
+#[derive(Debug, Clone, Default)]
+pub struct CleanRuns {
+    policy: DefensePolicy,
+    runs: Vec<(usize, DefenseStats)>,
 }
 
 /// Runs the first `executed` images of a batch, sharded across up to
@@ -564,6 +580,7 @@ impl DpuRuntime {
     }
 
     /// Runs a batch of images, returning predictions and measurements.
+    /// Every image executes.
     ///
     /// # Errors
     ///
@@ -575,6 +592,39 @@ impl DpuRuntime {
         task: &mut DpuTask,
         images: &[Tensor],
         seed: u64,
+    ) -> Result<BatchResult, RunError> {
+        self.run_batch_with(task, images, seed, None)
+    }
+
+    /// [`DpuRuntime::run_batch`] with clean-run reuse: when the board's
+    /// fault rates are all zero at the operating point this batch runs
+    /// at, the defense policy matches `clean`'s and `clean` covers every
+    /// image that fits the cycle budget, the stored outcomes stand in for
+    /// execution. Otherwise the batch executes, and a fully clean
+    /// execution at a zero-rate point refreshes `clean`. The result and
+    /// every runtime counter (cycles, budget, load, scrubber, ECC/ABFT
+    /// totals, faults observed) are exactly those of `run_batch`, as long
+    /// as `clean` only ever sees this task and this image list.
+    ///
+    /// # Errors
+    ///
+    /// See [`DpuRuntime::run_batch`].
+    pub fn run_batch_reusing(
+        &mut self,
+        task: &mut DpuTask,
+        images: &[Tensor],
+        seed: u64,
+        clean: &mut CleanRuns,
+    ) -> Result<BatchResult, RunError> {
+        self.run_batch_with(task, images, seed, Some(clean))
+    }
+
+    fn run_batch_with(
+        &mut self,
+        task: &mut DpuTask,
+        images: &[Tensor],
+        seed: u64,
+        clean: Option<&mut CleanRuns>,
     ) -> Result<BatchResult, RunError> {
         if self.board.is_crashed() {
             return Err(RunError::BoardCrashed);
@@ -595,25 +645,33 @@ impl DpuRuntime {
         // old per-image charge loop), then shard the fitting images.
         let per_image = task.kernel.total_cycles();
         let (executed, budget_err) = self.charge_batch_cycles(per_image, images.len());
-        task.qgraph.set_defense(self.defense);
-        let workers = if self.image_jobs == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            self.image_jobs
+        // Decided after `set_load`: the load sets the slack, so the rates.
+        let clean_point = board_rates(&self.board).is_zero();
+        let runs = match clean {
+            Some(c) if clean_point && c.policy == self.defense && c.runs.len() >= executed => c
+                .runs[..executed]
+                .iter()
+                .map(|&(pred, defense)| ImageRun {
+                    outcome: Ok(pred),
+                    ecc: EccStats::default(),
+                    defense,
+                    latent: 0,
+                    injected: 0,
+                })
+                .collect(),
+            clean => {
+                let runs = self.execute(task, images, executed, seed);
+                if let Some(c) = clean.filter(|_| clean_point) {
+                    if let Some(stored) = clean_outcomes(&runs) {
+                        *c = CleanRuns {
+                            policy: self.defense,
+                            runs: stored,
+                        };
+                    }
+                }
+                runs
+            }
         };
-        let runs = run_images(
-            &task.qgraph,
-            &self.board,
-            self.defense.mode,
-            images,
-            executed,
-            seed,
-            workers,
-            &mut self.scratch_pool,
-        );
-        task.qgraph.set_defense(DefensePolicy::off());
         // Merge in image order, stopping the accounting at the first
         // graph error — exactly what a sequential walk would have seen.
         // Account defense events even when the budget tripped mid-batch.
@@ -662,6 +720,50 @@ impl DpuRuntime {
             defense,
         })
     }
+
+    /// Executes the first `executed` images under the active defense
+    /// policy, sharded across the configured image workers.
+    fn execute(
+        &mut self,
+        task: &mut DpuTask,
+        images: &[Tensor],
+        executed: usize,
+        seed: u64,
+    ) -> Vec<ImageRun> {
+        task.qgraph.set_defense(self.defense);
+        let workers = if self.image_jobs == 0 {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        } else {
+            self.image_jobs
+        };
+        let runs = run_images(
+            &task.qgraph,
+            &self.board,
+            self.defense.mode,
+            images,
+            executed,
+            seed,
+            workers,
+            &mut self.scratch_pool,
+        );
+        task.qgraph.set_defense(DefensePolicy::off());
+        runs
+    }
+}
+
+/// The per-image outcomes of a fully clean execution — every image `Ok`
+/// with no injected, latent or ECC events — or `None`.
+fn clean_outcomes(runs: &[ImageRun]) -> Option<Vec<(usize, DefenseStats)>> {
+    runs.iter()
+        .map(|run| match run.outcome {
+            Ok(pred) if run.injected == 0 && run.latent == 0 && run.ecc == EccStats::default() => {
+                Some((pred, run.defense))
+            }
+            _ => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -672,12 +774,182 @@ mod tests {
     use redvolt_pmbus::adapter::PmbusAdapter;
 
     fn setup() -> (DpuRuntime, DpuTask, Vec<Tensor>) {
+        setup_with(12)
+    }
+
+    fn setup_with(images: usize) -> (DpuRuntime, DpuTask, Vec<Tensor>) {
         let graph = ModelKind::VggNet.build(ModelScale::Tiny).fold_batch_norms();
         let ds = SyntheticDataset::new(32, 32, 3, 10, 42);
         let calib = ds.images(4);
         let task = DpuTask::create("vgg", &graph, 8, &calib).unwrap();
         let rt = DpuRuntime::open(Zcu102Board::new(0).with_exact_telemetry());
-        (rt, task, ds.images(12))
+        (rt, task, ds.images(images))
+    }
+
+    /// Every cumulative counter a batch touches, in one comparable string.
+    fn counters(rt: &DpuRuntime) -> String {
+        let scrub = rt.scrubber();
+        format!(
+            "{:?}",
+            (
+                rt.cycles_run(),
+                rt.faults_observed(),
+                rt.defense_stats(),
+                rt.ecc_stats(),
+                scrub.latent(),
+                scrub.passes(),
+                scrub.scrubbed(),
+            )
+        )
+    }
+
+    /// Twin runtimes on the same board sample and model: one always
+    /// executes (`run_batch`), the other goes through clean-run reuse.
+    struct Twins {
+        plain: (DpuRuntime, DpuTask),
+        reusing: (DpuRuntime, DpuTask),
+        clean: CleanRuns,
+        images: Vec<Tensor>,
+    }
+
+    impl Twins {
+        fn new(images: usize) -> Self {
+            let (plain, task, images) = setup_with(images);
+            let reusing = DpuRuntime::open(Zcu102Board::new(0).with_exact_telemetry());
+            Twins {
+                plain: (plain, task.clone()),
+                reusing: (reusing, task),
+                clean: CleanRuns::default(),
+                images,
+            }
+        }
+
+        fn each(&mut self, f: impl Fn(&mut DpuRuntime)) {
+            f(&mut self.plain.0);
+            f(&mut self.reusing.0);
+        }
+
+        fn set_vout(&mut self, volts: f64) {
+            self.each(|rt| {
+                PmbusAdapter::new()
+                    .set_vout(rt.board_mut(), 0x13, volts)
+                    .unwrap()
+            });
+        }
+
+        /// Runs the first `n` images on both twins and asserts the
+        /// results and every runtime counter are identical.
+        fn run(&mut self, n: usize, seed: u64) -> Result<BatchResult, RunError> {
+            let images = &self.images[..n];
+            let want = self.plain.0.run_batch(&mut self.plain.1, images, seed);
+            let got = self.reusing.0.run_batch_reusing(
+                &mut self.reusing.1,
+                images,
+                seed,
+                &mut self.clean,
+            );
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "batch result");
+            assert_eq!(counters(&self.reusing.0), counters(&self.plain.0));
+            got
+        }
+    }
+
+    #[test]
+    fn clean_reuse_matches_run_batch_under_every_defense() {
+        for policy in [
+            DefensePolicy::off(),
+            DefensePolicy::detect(),
+            DefensePolicy::correct(),
+        ] {
+            let mut t = Twins::new(12);
+            t.each(|rt| rt.set_defense(policy));
+            t.set_vout(0.570);
+            let first = t.run(12, 1).unwrap();
+            assert_eq!(t.clean.runs.len(), 12, "{policy:?}: clean batch is stored");
+            assert_eq!(first.defense.checks > 0, policy.is_on(), "{policy:?}");
+            for (volts, seed) in [(0.600, 2), (0.850, 3), (0.570, 4)] {
+                t.set_vout(volts);
+                t.run(12, seed).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn faulting_points_never_read_the_memo() {
+        let mut t = Twins::new(12);
+        t.set_vout(0.570);
+        t.run(12, 1).unwrap();
+        // Poison the memo: any read of it would show up as class MAX.
+        for run in &mut t.clean.runs {
+            run.0 = usize::MAX;
+        }
+        t.set_vout(0.542);
+        let a = t.run(12, 5).unwrap();
+        let b = t.run(12, 6).unwrap();
+        assert!(a.injected_faults > 0, "expected faults at 542 mV");
+        assert!(
+            a.predictions != b.predictions || a.injected_faults != b.injected_faults,
+            "faulting results must depend on the seed"
+        );
+        // Back at a clean point the (poisoned) memo is what answers.
+        t.set_vout(0.570);
+        let (rt, task) = &mut t.reusing;
+        let reused = rt
+            .run_batch_reusing(task, &t.images, 7, &mut t.clean)
+            .unwrap();
+        assert!(reused.predictions.iter().all(|&p| p == usize::MAX));
+    }
+
+    #[test]
+    fn shorter_and_longer_prefixes_reuse_correctly() {
+        let mut t = Twins::new(32);
+        t.set_vout(0.570);
+        t.run(8, 1).unwrap();
+        assert_eq!(t.clean.runs.len(), 8);
+        t.run(32, 2).unwrap();
+        assert_eq!(
+            t.clean.runs.len(),
+            32,
+            "a longer prefix executes and refreshes"
+        );
+        t.run(8, 3).unwrap();
+        assert_eq!(t.clean.runs.len(), 32, "a shorter prefix reuses");
+    }
+
+    #[test]
+    fn defense_policy_change_invalidates_the_memo() {
+        let mut t = Twins::new(12);
+        t.set_vout(0.600);
+        t.run(12, 1).unwrap();
+        t.each(|rt| rt.set_defense(DefensePolicy::detect()));
+        let detect = t.run(12, 2).unwrap();
+        assert!(detect.defense.checks > 0, "executed under the new policy");
+        assert_eq!(t.clean.policy, DefensePolicy::detect());
+        t.each(|rt| rt.set_defense(DefensePolicy::off()));
+        let off = t.run(12, 3).unwrap();
+        assert_eq!(off.defense, DefenseStats::default());
+        assert_eq!(t.clean.policy, DefensePolicy::off());
+    }
+
+    #[test]
+    fn budget_cut_batches_match_with_and_without_a_memo() {
+        let mut t = Twins::new(12);
+        t.set_vout(0.570);
+        let per_image = t.plain.1.kernel.total_cycles();
+        // Empty memo: the cut batch executes five images and stores them.
+        let budget = Some(5 * per_image);
+        t.each(|rt| rt.set_cycle_budget(budget));
+        let err = t.run(12, 1).unwrap_err();
+        assert!(matches!(err, RunError::CycleBudgetExceeded { .. }));
+        assert_eq!(t.clean.runs.len(), 5);
+        t.each(|rt| rt.set_cycle_budget(None));
+        t.run(12, 2).unwrap();
+        assert_eq!(t.clean.runs.len(), 12);
+        // Full memo: the cut batch reuses its fitting prefix.
+        let budget = Some(t.plain.0.cycles_run() + 7 * per_image);
+        t.each(|rt| rt.set_cycle_budget(budget));
+        assert!(t.run(12, 3).is_err());
+        assert!(t.run(12, 4).is_err(), "an exhausted budget stays exhausted");
     }
 
     #[test]

@@ -38,14 +38,20 @@ use injector::SlackFaultInjector;
 use model::FaultRates;
 use redvolt_fpga::board::Zcu102Board;
 
-/// Builds a seeded injector for the board's *current* operating point
-/// (voltage, clock, junction temperature), combining logic-rail timing
-/// faults with BRAM read-margin faults when `VCCBRAM` is driven below its
-/// own safe floor (see [`model::bram_weight_rate`]).
-pub fn board_injector(board: &Zcu102Board, seed: u64) -> SlackFaultInjector {
+/// The fault rates at the board's *current* operating point (voltage,
+/// clock, junction temperature): logic-rail timing faults plus BRAM
+/// read-margin faults when `VCCBRAM` is driven below its own safe floor
+/// (see [`model::bram_weight_rate`]). All zero means every injector built
+/// here plans no flips and draws nothing from its RNG.
+pub fn board_rates(board: &Zcu102Board) -> FaultRates {
     let mut rates = FaultRates::for_deficit(board.slack_deficit());
     rates.per_weight += model::bram_weight_rate(board.vccbram_mv());
-    SlackFaultInjector::new(rates, seed)
+    rates
+}
+
+/// Builds a seeded injector at [`board_rates`].
+pub fn board_injector(board: &Zcu102Board, seed: u64) -> SlackFaultInjector {
+    SlackFaultInjector::new(board_rates(board), seed)
 }
 
 #[cfg(test)]

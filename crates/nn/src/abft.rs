@@ -15,12 +15,6 @@
 //!   in the plain sum (one `0→1`, one `1→0` of the same bit — exactly
 //!   what a correlated same-bit burst produces) still perturbs the
 //!   weighted sum, because the two sites carry different weights.
-//! * [`kahan_sum`] and [`FloatAbft`] — checksum-channel ABFT for the f32
-//!   path: for `C = W ∗ x` the column-sum identity
-//!   `Σ_oc C[·, oc] = (Σ_oc W[oc]) ∗ x + Σ_oc b[oc]` is verified per
-//!   output position with a Kahan-compensated channel sum and a
-//!   rounding-aware tolerance. The checksum channel costs one extra
-//!   output channel — `1/out_ch` of the layer, not a re-execution.
 //!
 //! The integer checksums are *temporal* (before/after the fault-injection
 //! points inside one execution); weight-read corruption is detected by the
@@ -31,9 +25,7 @@
 //! ABFT, but requires simultaneous cancellation in two differently
 //! weighted sums.
 
-use crate::graph::{ConvParams, Graph, Op};
 use crate::kernels;
-use crate::tensor::Tensor;
 
 /// How aggressively the inference path defends against silent data
 /// corruption. Maps 1:1 onto the `--defense` CLI flag.
@@ -262,229 +254,9 @@ kernels::avx2_dispatch! {
     fn codes_checksum / codes_checksum_avx2 => codes_checksum_body(codes: &[i8]) -> IntChecksum
 }
 
-/// Kahan-compensated sum — keeps the float checksum's own rounding error
-/// at O(ε) instead of O(nε) so the verification tolerance can stay tight.
-pub fn kahan_sum(xs: impl IntoIterator<Item = f32>) -> f32 {
-    let mut s = 0.0f32;
-    let mut c = 0.0f32;
-    for x in xs {
-        let y = x - c;
-        let t = s + y;
-        c = (t - s) - y;
-        s = t;
-    }
-    s
-}
-
-/// Rounding-aware tolerance for comparing a Kahan channel sum against the
-/// checksum-channel result: `ε`-scaled by the accumulation length and the
-/// observed amplitude. A real fault flips a high accumulator or mantissa
-/// bit and lands orders of magnitude outside this band.
-pub fn float_tolerance(terms: usize, amplitude: f32) -> f32 {
-    64.0 * f32::EPSILON * ((terms.max(1)) as f32).sqrt() * amplitude.max(1.0)
-}
-
-/// Per-layer precomputed checksum vectors for the float path.
-#[derive(Debug, Clone)]
-enum LayerCheck {
-    /// Node needs no verification (pools, adds, softmax, …).
-    None,
-    /// Conv layer: channel-summed kernel and bias.
-    Conv {
-        params: ConvParams,
-        wsum: Vec<f32>,
-        bias_sum: f32,
-    },
-    /// Dense layer: output-summed weight row and bias.
-    Dense {
-        relu: bool,
-        wsum: Vec<f32>,
-        bias_sum: f32,
-    },
-}
-
-/// Verification report for one defended float forward pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FloatAbftReport {
-    /// Conv/dense layers verified.
-    pub layers_checked: u64,
-    /// Output positions whose channel sum was verified.
-    pub positions_checked: u64,
-    /// Positions skipped because a fused ReLU clamped a channel there
-    /// (the linear checksum identity does not hold through the clamp).
-    pub positions_skipped: u64,
-    /// Positions whose channel sum disagreed with the checksum channel
-    /// beyond tolerance.
-    pub mismatches: u64,
-}
-
-impl FloatAbftReport {
-    /// True when no corrupted tile was flagged.
-    pub fn clean(&self) -> bool {
-        self.mismatches == 0
-    }
-}
-
-/// Checksum-channel ABFT for the float executor.
-///
-/// [`FloatAbft::prepare`] folds every conv/dense layer's weights into a
-/// single checksum channel offline; [`FloatAbft::verify`] then checks a
-/// finished forward pass (`Graph::forward_all_into` outputs) against the
-/// column-sum identity at each output position, skipping positions where
-/// a fused ReLU clamped a channel (linearity broken there).
-#[derive(Debug, Clone)]
-pub struct FloatAbft {
-    layers: Vec<LayerCheck>,
-    /// Scratch for the checksum-channel convolution.
-    expected: Vec<f32>,
-}
-
-impl FloatAbft {
-    /// Precomputes the checksum vectors for every conv/dense layer of
-    /// `graph`.
-    pub fn prepare(graph: &Graph) -> FloatAbft {
-        let layers = graph
-            .nodes()
-            .iter()
-            .map(|node| match &node.op {
-                Op::Conv {
-                    params,
-                    weights,
-                    bias,
-                } => {
-                    let k2ic = params.k * params.k * params.in_ch;
-                    let mut wsum = vec![0.0f32; k2ic];
-                    for oc in 0..params.out_ch {
-                        for (s, &w) in wsum.iter_mut().zip(&weights[oc * k2ic..(oc + 1) * k2ic]) {
-                            *s += w;
-                        }
-                    }
-                    LayerCheck::Conv {
-                        params: *params,
-                        wsum,
-                        bias_sum: kahan_sum(bias.iter().copied()),
-                    }
-                }
-                Op::Dense {
-                    in_len,
-                    out_len,
-                    relu,
-                    weights,
-                    bias,
-                } => {
-                    let mut wsum = vec![0.0f32; *in_len];
-                    for o in 0..*out_len {
-                        for (s, &w) in wsum.iter_mut().zip(&weights[o * in_len..(o + 1) * in_len]) {
-                            *s += w;
-                        }
-                    }
-                    LayerCheck::Dense {
-                        relu: *relu,
-                        wsum,
-                        bias_sum: kahan_sum(bias.iter().copied()),
-                    }
-                }
-                _ => LayerCheck::None,
-            })
-            .collect();
-        FloatAbft {
-            layers,
-            expected: Vec::new(),
-        }
-    }
-
-    /// Verifies a completed forward pass (`outs` as produced by
-    /// [`Graph::forward_all_into`]) against the checksum channels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `outs` does not match the graph this ABFT was prepared
-    /// for.
-    pub fn verify(
-        &mut self,
-        graph: &Graph,
-        outs: &[Tensor],
-        ks: &mut kernels::Scratch,
-    ) -> FloatAbftReport {
-        assert_eq!(outs.len(), self.layers.len(), "outs/graph mismatch");
-        let mut report = FloatAbftReport::default();
-        for (id, check) in self.layers.iter().enumerate() {
-            let node = &graph.nodes()[id];
-            match check {
-                LayerCheck::None => {}
-                LayerCheck::Conv {
-                    params,
-                    wsum,
-                    bias_sum,
-                } => {
-                    let input = &outs[node.inputs[0]];
-                    let (oh, ow) = params.out_hw(input.h(), input.w());
-                    let mut p1 = *params;
-                    p1.out_ch = 1;
-                    p1.relu = false;
-                    self.expected.clear();
-                    self.expected.resize(oh * ow, 0.0);
-                    kernels::conv2d_f32_into(
-                        input,
-                        &p1,
-                        wsum,
-                        &[*bias_sum],
-                        ks,
-                        &mut self.expected,
-                    );
-                    report.layers_checked += 1;
-                    let out = outs[id].data();
-                    let c = params.out_ch;
-                    let macs = params.k * params.k * params.in_ch;
-                    for (pos, &expected) in self.expected.iter().enumerate() {
-                        let channels = &out[pos * c..(pos + 1) * c];
-                        if params.relu && channels.contains(&0.0) {
-                            report.positions_skipped += 1;
-                            continue;
-                        }
-                        verify_position(expected, channels, macs, &mut report);
-                    }
-                }
-                LayerCheck::Dense {
-                    relu,
-                    wsum,
-                    bias_sum,
-                } => {
-                    let input = outs[node.inputs[0]].data();
-                    let out = outs[id].data();
-                    report.layers_checked += 1;
-                    if *relu && out.contains(&0.0) {
-                        report.positions_skipped += 1;
-                        continue;
-                    }
-                    let expected =
-                        bias_sum + kahan_sum(input.iter().zip(wsum.iter()).map(|(&a, &b)| a * b));
-                    verify_position(expected, out, input.len(), &mut report);
-                }
-            }
-        }
-        report
-    }
-}
-
-/// Compares one output position's Kahan channel sum against the checksum
-/// channel within the rounding tolerance.
-fn verify_position(expected: f32, channels: &[f32], macs: usize, report: &mut FloatAbftReport) {
-    let actual = kahan_sum(channels.iter().copied());
-    let amplitude = channels
-        .iter()
-        .map(|v| v.abs())
-        .fold(expected.abs(), f32::max);
-    report.positions_checked += 1;
-    if (actual - expected).abs() > float_tolerance(macs * channels.len().max(1), amplitude) {
-        report.mismatches += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::GraphBuilder;
 
     #[test]
     fn defense_mode_parses_cli_spellings() {
@@ -569,101 +341,5 @@ mod tests {
         let clean = IntChecksum::of_codes(&codes);
         codes[42] ^= 0x40;
         assert_ne!(IntChecksum::of_codes(&codes), clean);
-    }
-
-    #[test]
-    fn kahan_sum_is_exact_on_adversarial_cancellation() {
-        // 1.0 followed by many tiny values that a naive f32 sum drops.
-        let xs: Vec<f32> = std::iter::once(1.0e8f32)
-            .chain(std::iter::repeat_n(1.0f32, 1000))
-            .collect();
-        let naive: f32 = xs.iter().sum();
-        let kahan = kahan_sum(xs.iter().copied());
-        assert_eq!(kahan, 1.0e8 + 1000.0);
-        assert_ne!(naive, kahan, "test must exercise the compensation");
-    }
-
-    fn tiny_graph() -> crate::graph::Graph {
-        let mut b = GraphBuilder::new();
-        let input = b.input(6, 6, 3);
-        let params = ConvParams {
-            in_ch: 3,
-            out_ch: 4,
-            k: 3,
-            stride: 1,
-            pad: 1,
-            relu: true,
-        };
-        let weights: Vec<f32> = (0..params.weight_count())
-            .map(|i| ((i % 17) as f32 - 8.0) * 0.05)
-            .collect();
-        // Large positive bias keeps every pre-activation above zero so
-        // ReLU never clamps and every position is verifiable.
-        let conv = b.conv("c1", input, params, weights, vec![5.0; 4]);
-        let dn = 6 * 6 * 4;
-        let dweights: Vec<f32> = (0..dn * 5)
-            .map(|i| ((i % 11) as f32 - 5.0) * 0.01)
-            .collect();
-        let dense = b.dense("fc", conv, 5, false, dweights, vec![0.1; 5]);
-        b.finish(dense)
-    }
-
-    #[test]
-    fn float_abft_accepts_clean_forward_pass() {
-        let g = tiny_graph();
-        let img = Tensor::from_vec(6, 6, 3, (0..108).map(|i| (i as f32) * 0.01).collect());
-        let mut outs = Vec::new();
-        let mut ks = kernels::Scratch::new();
-        g.forward_all_into(&img, &mut outs, &mut ks).unwrap();
-        let mut abft = FloatAbft::prepare(&g);
-        let report = abft.verify(&g, &outs, &mut ks);
-        assert!(report.clean(), "clean pass flagged: {report:?}");
-        assert_eq!(report.layers_checked, 2);
-        assert_eq!(report.positions_checked, 36 + 1);
-        assert_eq!(report.positions_skipped, 0);
-    }
-
-    #[test]
-    fn float_abft_flags_corrupted_output_tile() {
-        let g = tiny_graph();
-        let img = Tensor::from_vec(6, 6, 3, (0..108).map(|i| (i as f32) * 0.01).collect());
-        let mut outs = Vec::new();
-        let mut ks = kernels::Scratch::new();
-        g.forward_all_into(&img, &mut outs, &mut ks).unwrap();
-        // Simulate a high-bit datapath upset in one conv output element.
-        let conv_id = 1;
-        outs[conv_id].data_mut()[10] += 4096.0;
-        let mut abft = FloatAbft::prepare(&g);
-        let report = abft.verify(&g, &outs, &mut ks);
-        // The corrupt conv tile flags directly, and the dense layer (whose
-        // recorded output no longer matches its now-corrupt input) flags
-        // too — both are genuine detections.
-        assert!(report.mismatches >= 1, "{report:?}");
-    }
-
-    #[test]
-    fn float_abft_skips_relu_clamped_positions() {
-        let mut b = GraphBuilder::new();
-        let input = b.input(4, 4, 2);
-        let params = ConvParams {
-            in_ch: 2,
-            out_ch: 2,
-            k: 1,
-            stride: 1,
-            pad: 0,
-            relu: true,
-        };
-        // Strongly negative bias clamps everything to zero.
-        let conv = b.conv("c", input, params, vec![0.1; 4], vec![-100.0; 2]);
-        let g = b.finish(conv);
-        let img = Tensor::from_vec(4, 4, 2, vec![0.5; 32]);
-        let mut outs = Vec::new();
-        let mut ks = kernels::Scratch::new();
-        g.forward_all_into(&img, &mut outs, &mut ks).unwrap();
-        let mut abft = FloatAbft::prepare(&g);
-        let report = abft.verify(&g, &outs, &mut ks);
-        assert_eq!(report.positions_skipped, 16);
-        assert_eq!(report.positions_checked, 0);
-        assert!(report.clean());
     }
 }

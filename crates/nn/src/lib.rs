@@ -24,9 +24,9 @@
 //! * [`prune`] — magnitude and structured-channel pruning (§6.2).
 //! * [`metrics`] — accuracy / top-k / confusion.
 //! * [`abft`] — algorithm-based fault tolerance: checksum-augmented
-//!   GEMM/conv verification (dual integer checksums, Kahan-tolerance f32
-//!   checksum channels) behind a [`abft::DefensePolicy`], the detection
-//!   layer of the undervolt SDC defense.
+//!   GEMM/conv verification (dual integer checksums over the quantized
+//!   path) behind a [`abft::DefensePolicy`], the detection layer of the
+//!   undervolt SDC defense.
 //!
 //! # Examples
 //!

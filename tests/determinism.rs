@@ -423,3 +423,78 @@ fn image_shard_invariance_holds_across_master_seeds() {
         }
     }
 }
+
+/// Clean-run reuse is invisible: a sweep through `Accelerator::measure`,
+/// which reuses each fault-free point's eval outcomes, equals the same
+/// sweep with the memo dropped before every point — measurements, crash
+/// point and every telemetry counter and span. Covers three board
+/// samples, three master seeds and all three defense modes; the sweep
+/// runs from the guardband through the critical region to the crash.
+#[test]
+fn clean_run_reuse_is_invisible_in_sweeps() {
+    use proptest::TestRng;
+    use redvolt::core::experiment::{Accelerator, MeasureError};
+    use redvolt::core::sweep::{voltage_sweep, VoltageSweep};
+
+    /// `voltage_sweep`, but with the memo dropped before every point.
+    fn sweep_without_reuse(acc: &mut Accelerator, cfg: &SweepConfig) -> VoltageSweep {
+        let mut points = Vec::new();
+        let mut crashed_at_mv = None;
+        for mv in cfg.voltages_mv() {
+            acc.runtime_and_workload_mut();
+            match acc.set_vccint_mv(mv).and_then(|()| acc.measure(cfg.images)) {
+                Ok(m) => points.push(m),
+                Err(MeasureError::Crashed { vccint_mv }) => {
+                    crashed_at_mv = Some(vccint_mv);
+                    break;
+                }
+                Err(e) => panic!("sweep step at {mv} mV: {e}"),
+            }
+        }
+        acc.power_cycle();
+        VoltageSweep {
+            points,
+            crashed_at_mv,
+        }
+    }
+
+    let cfg = SweepConfig {
+        start_mv: 600.0,
+        stop_mv: 530.0,
+        step_mv: 10.0,
+        images: 8,
+    };
+    let mut faulting_points = 0;
+    for case in 0..3u32 {
+        let mut rng = TestRng::for_case("determinism::clean_run_reuse", case);
+        let seed = rng.next_below(1 << 48);
+        for board_sample in 0..3 {
+            for defense in [DefenseMode::Off, DefenseMode::Detect, DefenseMode::Correct] {
+                let config = AcceleratorConfig {
+                    board_sample,
+                    defense,
+                    eval_images: 8,
+                    repetitions: 2,
+                    seed,
+                    ..AcceleratorConfig::tiny(BenchmarkId::VggNet)
+                };
+                let mut reusing = Accelerator::bring_up(&config).unwrap();
+                let want = voltage_sweep(&mut reusing, &cfg).unwrap();
+                let mut fresh = Accelerator::bring_up(&config).unwrap();
+                let got = sweep_without_reuse(&mut fresh, &cfg);
+                let label = format!("seed {seed} board {board_sample} {defense:?}");
+                assert_eq!(got, want, "{label}: sweep");
+                assert_eq!(
+                    format!("{:?}", fresh.take_telemetry()),
+                    format!("{:?}", reusing.take_telemetry()),
+                    "{label}: telemetry"
+                );
+                faulting_points += want.points.iter().filter(|m| m.injected_faults > 0).count();
+            }
+        }
+    }
+    assert!(
+        faulting_points > 0,
+        "the sweeps must reach the critical region"
+    );
+}
