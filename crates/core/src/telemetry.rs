@@ -136,22 +136,18 @@ impl CellTelemetry {
     }
 
     /// Decodes [`CellTelemetry::encode_compact`]; `None` on any
-    /// malformed blob (the caller treats the cell as telemetry-less).
-    /// Blobs written before the SDC-defense counters existed carry 12
-    /// fields instead of 20 and decode with zeroed defense counters, so
-    /// old journals stay resumable.
+    /// malformed blob, including any field count other than 20 (the
+    /// caller treats the cell as telemetry-less). Splits into a fixed
+    /// array, so hostile input can neither panic nor make it allocate.
     pub fn decode_compact(blob: &str) -> Option<CellTelemetry> {
-        let f: Vec<&str> = blob.split(',').collect();
-        if f.len() != 12 && f.len() != 20 {
+        let mut f = [""; 20];
+        let mut fields = blob.split(',');
+        for slot in &mut f {
+            *slot = fields.next()?;
+        }
+        if fields.next().is_some() {
             return None;
         }
-        let defense = |i: usize| -> Option<u64> {
-            if f.len() == 12 {
-                Some(0)
-            } else {
-                f[i].parse().ok()
-            }
-        };
         Some(CellTelemetry {
             cycles: f[0].parse().ok()?,
             dpu_faults: f[1].parse().ok()?,
@@ -167,14 +163,14 @@ impl CellTelemetry {
             vccint_mv: f[9].parse().ok()?,
             vccbram_mv: f[10].parse().ok()?,
             junction_c: f[11].parse().ok()?,
-            ecc_corrected: defense(12)?,
-            ecc_uncorrectable: defense(13)?,
-            abft_checks: defense(14)?,
-            abft_mismatches: defense(15)?,
-            abft_reexecutions: defense(16)?,
-            abft_unresolved: defense(17)?,
-            scrub_passes: defense(18)?,
-            scrub_retired: defense(19)?,
+            ecc_corrected: f[12].parse().ok()?,
+            ecc_uncorrectable: f[13].parse().ok()?,
+            abft_checks: f[14].parse().ok()?,
+            abft_mismatches: f[15].parse().ok()?,
+            abft_reexecutions: f[16].parse().ok()?,
+            abft_unresolved: f[17].parse().ok()?,
+            scrub_passes: f[18].parse().ok()?,
+            scrub_retired: f[19].parse().ok()?,
             spans: Vec::new(),
         })
     }
@@ -531,20 +527,64 @@ mod tests {
     }
 
     #[test]
-    fn legacy_12_field_blob_decodes_with_zeroed_defense_counters() {
-        let t = sample_telem();
-        let blob = t.encode_compact();
-        let legacy: String = blob.split(',').take(12).collect::<Vec<_>>().join(",");
-        let decoded = CellTelemetry::decode_compact(&legacy).expect("legacy blob must decode");
-        assert_eq!(decoded.cycles, t.cycles);
-        assert_eq!(decoded.bus, t.bus);
-        assert_eq!(decoded.ecc_corrected, 0);
-        assert_eq!(decoded.abft_checks, 0);
-        assert_eq!(decoded.scrub_passes, 0);
+    fn twelve_field_blob_is_rejected_and_left_as_outcome_text() {
+        // The 12-field form predates the SDC-defense counters; no
+        // supported journal carries it.
+        let blob = sample_telem().encode_compact();
+        let twelve: String = blob.split(',').take(12).collect::<Vec<_>>().join(",");
+        assert_eq!(CellTelemetry::decode_compact(&twelve), None);
+        let payload = format!("measure 850.0,333.0 telem={twelve}");
+        assert_eq!(split_telem(&payload), (payload.as_str(), None));
         // Any other field count is rejected outright.
         assert_eq!(CellTelemetry::decode_compact("1,2,3"), None);
-        let thirteen: String = blob.split(',').take(13).collect::<Vec<_>>().join(",");
-        assert_eq!(CellTelemetry::decode_compact(&thirteen), None);
+        for n in [13, 19, 21] {
+            let fields: Vec<&str> = blob.split(',').cycle().take(n).collect();
+            assert_eq!(CellTelemetry::decode_compact(&fields.join(",")), None);
+        }
+    }
+
+    /// Journal fragments a hostile or truncated payload is built from.
+    const TOKENS: [&str; 14] = [
+        "1",
+        "0",
+        ",",
+        " telem=",
+        "telem=",
+        " ",
+        "-",
+        ".",
+        "NaN",
+        "inf",
+        "1e309",
+        "18446744073709551616",
+        "é",
+        "",
+    ];
+
+    proptest::proptest! {
+        #[test]
+        fn arbitrary_payloads_never_panic_the_decoder(
+            picks in proptest::collection::vec(0usize..TOKENS.len(), 0..80),
+            bytes in proptest::collection::vec(0u8..=255, 0..40),
+            cut in 0usize..400,
+        ) {
+            let valid = format!("m telem={}", sample_telem().encode_compact());
+            let mut payload: String = picks.iter().map(|&i| TOKENS[i]).collect();
+            payload.push_str(&String::from_utf8_lossy(&bytes));
+            // A valid record truncated at an arbitrary char boundary.
+            let cut = (0..=cut.min(valid.len()))
+                .rev()
+                .find(|&c| valid.is_char_boundary(c))
+                .unwrap_or(0);
+            for text in [payload.as_str(), &valid[..cut]] {
+                let (rest, telem) = split_telem(text);
+                assert!(text.starts_with(rest));
+                if telem.is_none() {
+                    assert_eq!(rest, text, "undecoded text stays outcome text");
+                }
+                let _ = CellTelemetry::decode_compact(text);
+            }
+        }
     }
 
     #[test]

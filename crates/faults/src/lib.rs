@@ -5,15 +5,17 @@
 //! [`model`] maps the deficit to per-site fault rates (exponential in the
 //! deficit, as the paper's measured accuracy curves imply); and
 //! [`injector::SlackFaultInjector`] turns rates into deterministic,
-//! Poisson-sampled transient bit flips inside the quantized executor of
-//! `redvolt-nn`.
+//! Poisson-sampled bursts of transient bit flips, which the quantized
+//! executor of `redvolt-nn` plans per fault site (graph node and storage
+//! kind) into a reused buffer and applies in place.
 //!
 //! [`bus`] models a different failure surface: transient PMBus-transaction
 //! faults (NACKs, timeouts, read bit flips) on the *control plane*, which
 //! the host adapter's retry/verify policy must absorb.
 //!
 //! [`ecc`] layers the board's built-in SECDED(72,64) BRAM protection over
-//! weight/activation fault plans — the first stage of the SDC defense.
+//! weight/activation fault plans, regrouping their flips by ECC word in
+//! place — the first stage of the SDC defense.
 //!
 //! # Examples
 //!

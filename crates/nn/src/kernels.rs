@@ -317,7 +317,7 @@ const PX_TILE: usize = 4;
 /// Packs conv weight codes (`[oc][ky][kx][ic]`, as [`conv2d_q_into`]
 /// takes them) into `packed` in the layout the AVX2 microkernel reads,
 /// reusing its allocation. Done once per layer and kept beside the plain
-/// codes; the copy-on-fault path repacks faulted codes every pass.
+/// codes; faulted passes run on it too and correct the accumulators.
 ///
 /// Output channels are grouped in blocks of 8, the last block
 /// zero-padded. Within a block, each kernel row `ky` holds its `k·ic`
@@ -330,19 +330,25 @@ const PX_TILE: usize = 4;
 /// Panics if `wcodes.len() != p.weight_count()`.
 pub fn pack_conv_weights(p: &ConvParams, wcodes: &[i8], packed: &mut Vec<i8>) {
     assert_eq!(wcodes.len(), p.weight_count(), "weights length");
+    packed.clear();
+    packed.resize(packed_len(p), 0);
+    for (i, &w) in wcodes.iter().enumerate() {
+        packed[packed_pos(p, i)] = w;
+    }
+}
+
+/// Length of [`pack_conv_weights`]' layout for `p`.
+fn packed_len(p: &ConvParams) -> usize {
+    p.out_ch.div_ceil(OC_BLOCK) * p.k * (p.k * p.in_ch).div_ceil(2) * 2 * OC_BLOCK
+}
+
+/// Where [`pack_conv_weights`] puts weight code `i`.
+fn packed_pos(p: &ConvParams, i: usize) -> usize {
     let seg = p.k * p.in_ch;
     let row_len = seg.div_ceil(2) * 2 * OC_BLOCK;
-    packed.clear();
-    packed.resize(p.out_ch.div_ceil(OC_BLOCK) * p.k * row_len, 0);
-    for (oc, taps) in wcodes.chunks_exact(p.k * seg).enumerate() {
-        let (block, lane) = (oc / OC_BLOCK, oc % OC_BLOCK);
-        for (ky, row) in taps.chunks_exact(seg).enumerate() {
-            let dst = &mut packed[(block * p.k + ky) * row_len..][..row_len];
-            for (t, &w) in row.iter().enumerate() {
-                dst[(t / 2) * 2 * OC_BLOCK + 2 * lane + t % 2] = w;
-            }
-        }
-    }
+    let (oc, ky, t) = (i / (p.k * seg), i / seg % p.k, i % seg);
+    let (block, lane) = (oc / OC_BLOCK, oc % OC_BLOCK);
+    (block * p.k + ky) * row_len + (t / 2) * 2 * OC_BLOCK + 2 * lane + t % 2
 }
 
 /// Optimized integer convolution writing raw accumulators into `acc`
@@ -371,12 +377,14 @@ pub fn conv2d_q_into(
     assert_eq!(acc.len(), oh * ow * p.out_ch, "accumulator buffer length");
     assert_eq!(wcodes.len(), p.weight_count(), "weights length");
     assert_eq!(bias_q.len(), p.out_ch, "bias length");
+    // Checked in place, not by repacking: a warm inference must not
+    // allocate, in debug builds too.
     debug_assert!(
-        {
-            let mut fresh = Vec::new();
-            pack_conv_weights(p, wcodes, &mut fresh);
-            fresh == packed
-        },
+        packed.len() == packed_len(p)
+            && wcodes
+                .iter()
+                .enumerate()
+                .all(|(i, &w)| packed[packed_pos(p, i)] == w),
         "stale packed weights"
     );
     #[cfg(target_arch = "x86_64")]

@@ -8,47 +8,124 @@
 //! The quantized executor is the *faultable* datapath: undervolting timing
 //! faults manifest as transient bit flips in weight fetches, MAC
 //! accumulators and activation buffers. The executor asks a
-//! [`FaultInjector`] for a fault plan per layer execution and applies it
-//! transiently (weights are restored afterwards — faults in the paper's
-//! setup are timing errors on reads, not permanent storage corruption).
+//! [`FaultInjector`] for a plan of [`FaultBurst`]s per node execution and
+//! applies it in place: accumulator and activation bursts as range XORs,
+//! weight flips as exact accumulator deltas on top of the clean kernel
+//! output. The graph's weights are never modified — faults in the
+//! paper's setup are timing errors on reads, not storage corruption.
 
 use crate::abft::{DefenseMode, DefensePolicy, DefenseStats, IntChecksum};
-use crate::graph::{ConvParams, Graph, GraphError, Op, Shape};
+use crate::graph::{ConvParams, Graph, GraphError, NodeId, Op, Shape};
 use crate::kernels;
 use crate::reference;
 use crate::tensor::{QTensor, Tensor};
 use redvolt_num::fixed::{IntFormat, QuantScale};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// A planned transient bit flip: element index and bit position.
+/// The storage of one node execution that a fault plan targets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FaultKind {
+    /// The node's weight codes, `bits` wide, fetched once per kernel pass.
+    Weight {
+        /// Code width.
+        bits: u32,
+    },
+    /// The node's 32-bit output accumulators, each the sum of
+    /// `macs_per_out` MAC operations.
+    Accumulator {
+        /// MAC operations behind each accumulator.
+        macs_per_out: usize,
+    },
+    /// The activation codes, `bits` wide, the node writes.
+    Activation {
+        /// Code width.
+        bits: u32,
+    },
+}
+
+/// Where a fault plan lands: a graph node (its [`NodeId`]) and the kind
+/// of storage inside that node's execution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FaultSite {
+    /// The executing node.
+    pub node: NodeId,
+    /// The storage the plan targets.
+    pub kind: FaultKind,
+}
+
+/// A run of transient bit flips: bit `bit` of `len` consecutive elements
+/// of the target buffer, starting at `start` and wrapping past the
+/// buffer's end back to index 0. A single flip is a burst of length 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BitFlip {
-    /// Index of the affected element in the target buffer.
-    pub index: usize,
-    /// Bit position within the element's storage.
+pub struct FaultBurst {
+    /// Index of the first affected element.
+    pub start: usize,
+    /// Number of affected elements.
+    pub len: u32,
+    /// Bit position within each element's storage.
     pub bit: u32,
 }
 
-/// Source of per-layer fault plans.
+impl FaultBurst {
+    /// One flip of bit `bit` of element `index`.
+    pub fn single(index: usize, bit: u32) -> Self {
+        FaultBurst {
+            start: index,
+            len: 1,
+            bit,
+        }
+    }
+
+    /// The indices the burst flips in a buffer of `buf_len` elements, as
+    /// at most two contiguous ranges: from `start` up to the buffer end,
+    /// then the wrapped tail from index 0. A burst longer than the buffer
+    /// flips each element once; one starting past the end flips nothing.
+    pub fn ranges(self, buf_len: usize) -> [Range<usize>; 2] {
+        if self.start >= buf_len {
+            return [0..0, 0..0];
+        }
+        let len = (self.len as usize).min(buf_len);
+        let end = self.start + len;
+        if end <= buf_len {
+            [self.start..end, 0..0]
+        } else {
+            [self.start..buf_len, 0..end - buf_len]
+        }
+    }
+}
+
+/// Rewrites the bursts in `plan[from..]` as single flips of a buffer of
+/// `buf_len` elements, in burst order, dropping indices past its end.
+/// Leaves a plan that is already single in-range flips untouched.
+pub fn split_bursts(plan: &mut Vec<FaultBurst>, from: usize, buf_len: usize) {
+    let end = plan.len();
+    if plan[from..].iter().all(|b| b.len == 1 && b.start < buf_len) {
+        return;
+    }
+    for i in from..end {
+        let b = plan[i];
+        for r in b.ranges(buf_len) {
+            plan.extend(r.map(|index| FaultBurst::single(index, b.bit)));
+        }
+    }
+    plan.drain(from..end);
+}
+
+/// Source of per-node fault plans.
 ///
 /// Implemented by `redvolt-faults` (rates derived from the board's timing
-/// slack) and by [`NoFaults`] for clean execution.
+/// slack, optionally filtered through BRAM ECC) and by [`NoFaults`] for
+/// clean execution. The executor asks once per kernel pass and storage
+/// kind, in execution order: weights, then accumulators, then (after
+/// requantization) activations.
 pub trait FaultInjector {
-    /// Plans transient flips in the `len` weight codes (of `bits` width)
-    /// fetched for this layer execution.
-    fn plan_weight_faults(&mut self, layer: &str, len: usize, bits: u32) -> Vec<BitFlip>;
-
-    /// Plans flips in the `len` output accumulators of this layer, where
-    /// each accumulator is produced by `macs_per_out` MAC operations.
-    fn plan_accumulator_faults(
-        &mut self,
-        layer: &str,
-        len: usize,
-        macs_per_out: usize,
-    ) -> Vec<BitFlip>;
-
-    /// Plans flips in the `len` activation codes written by this layer.
-    fn plan_activation_faults(&mut self, layer: &str, len: usize, bits: u32) -> Vec<BitFlip>;
+    /// Plans the transient flips of one execution of `site`, whose target
+    /// buffer holds `len` elements, and appends them to `plan`. The
+    /// executor hands `plan` over empty and applies it in place; it is
+    /// scratch storage reused across calls, so planning allocates nothing
+    /// once it has grown to the largest plan.
+    fn plan_faults(&mut self, site: FaultSite, len: usize, plan: &mut Vec<FaultBurst>);
 }
 
 /// The always-clean injector.
@@ -56,22 +133,7 @@ pub trait FaultInjector {
 pub struct NoFaults;
 
 impl FaultInjector for NoFaults {
-    fn plan_weight_faults(&mut self, _layer: &str, _len: usize, _bits: u32) -> Vec<BitFlip> {
-        Vec::new()
-    }
-
-    fn plan_accumulator_faults(
-        &mut self,
-        _layer: &str,
-        _len: usize,
-        _macs_per_out: usize,
-    ) -> Vec<BitFlip> {
-        Vec::new()
-    }
-
-    fn plan_activation_faults(&mut self, _layer: &str, _len: usize, _bits: u32) -> Vec<BitFlip> {
-        Vec::new()
-    }
+    fn plan_faults(&mut self, _site: FaultSite, _len: usize, _plan: &mut Vec<FaultBurst>) {}
 }
 
 /// A quantized layer.
@@ -122,7 +184,6 @@ enum QOp {
 
 #[derive(Debug, Clone)]
 struct QNode {
-    name: String,
     op: QOp,
     inputs: Vec<usize>,
     shape: Shape,
@@ -187,9 +248,10 @@ pub struct QuantizedGraph {
     defense_stats: DefenseStats,
 }
 
-/// The executor's buffer arena: activation tensors, raw accumulators and
-/// kernel panels, all sized on first use and reused afterwards so a
-/// warmed-up inference performs no heap allocation.
+/// The executor's buffer arena: activation tensors, raw accumulators,
+/// kernel panels and the fault plan, all sized on first use and reused
+/// afterwards so a warmed-up inference performs no heap allocation, with
+/// or without faults.
 ///
 /// Every [`QuantizedGraph`] owns one arena for its `&mut self` entry
 /// points, but arenas are also first-class: [`QuantizedGraph::predict_shared`]
@@ -201,13 +263,13 @@ pub struct ExecScratch {
     kernels: kernels::Scratch,
     acts: Vec<QTensor>,
     acc: Vec<i32>,
-    /// Copy-on-fault weight staging: shared-graph execution cannot flip
-    /// weight bits in place, so a faulted layer's codes are copied here,
-    /// flipped, and the kernel runs on the copy.
+    /// The fault plan of the current [`FaultInjector::plan_faults`] call,
+    /// cleared before each call and applied in place.
+    plan: Vec<FaultBurst>,
+    /// Flipped weight codes for the reference kernels only: the oracle
+    /// path runs on a flipped copy of a faulted layer's codes, while the
+    /// optimized path adds the flips' accumulator deltas instead.
     wbuf: Vec<i8>,
-    /// `wbuf` repacked for the conv microkernel, so faulted codes reach
-    /// it rather than the layer's clean packed cache.
-    wpacked: Vec<i8>,
     /// Float staging buffer (softmax input, dequantized logits).
     fbuf: Vec<f32>,
     /// Float logits of the output node, valid after a forward pass.
@@ -386,7 +448,6 @@ impl QuantizedGraph {
                 }
             };
             nodes.push(QNode {
-                name: node.name.clone(),
                 op,
                 inputs: node.inputs.clone(),
                 shape: graph.shape(id),
@@ -710,8 +771,8 @@ impl QuantizedGraph {
     /// Predicted class with a fault injector, against an external arena.
     ///
     /// Unlike [`QuantizedGraph::predict_with`] this takes `&self`: the
-    /// graph is never mutated (transient weight faults run on a
-    /// copy-on-fault staging buffer inside `scratch`), so one prepared
+    /// graph is never mutated (transient weight faults become deltas on
+    /// the accumulators in `scratch`), so one prepared
     /// graph can serve many image-shard workers concurrently, each with
     /// its own [`ExecScratch`] and [`DefenseStats`] accumulator. Bit-for-
     /// bit identical to `predict_with` for the same injector state.
@@ -763,7 +824,9 @@ impl QuantizedGraph {
     /// Executes the graph into `scratch`: `scratch.acts[id]` holds every
     /// node's activation and `scratch.final_float` the output node's
     /// float logits. No allocation once the arena is warm, and no graph
-    /// mutation ever — weight faults stage through `scratch.wbuf`.
+    /// mutation ever: fault plans go into `scratch.plan` and are applied
+    /// in place, weight flips as accumulator deltas (the reference
+    /// kernels alone stage flipped codes in `scratch.wbuf`).
     fn run_shared(
         &self,
         image: &Tensor,
@@ -794,8 +857,8 @@ impl QuantizedGraph {
             kernels: ks,
             acts,
             acc,
+            plan,
             wbuf,
-            wpacked,
             fbuf,
             final_float,
             final_shape,
@@ -807,11 +870,10 @@ impl QuantizedGraph {
         // mutable borrow of `nodes` could not express.
         #[allow(clippy::needless_range_loop)]
         for id in 0..nodes.len() {
-            // The graph is read-only here — transient weight faults stage
-            // through `wbuf` — and the activation list splits at `id`;
+            // The graph is read-only here — transient weight faults become
+            // accumulator deltas — and the activation list splits at `id`;
             // inputs always precede.
             let node = &nodes[id];
-            let name = node.name.as_str();
             let inputs = &node.inputs;
             let shape = node.shape;
             let out_scale = node.out_scale;
@@ -837,22 +899,20 @@ impl QuantizedGraph {
                     let macs_per_out = params.k * params.k * params.in_ch;
                     let (oh, ow) = params.out_hw(input.h(), input.w());
                     run_checked(defense, stats, || {
-                        let (weights, weight_faulted) =
-                            faulted_weights(injector, name, wcodes, format, wbuf);
+                        let weight_faulted =
+                            plan_weight_faults(injector, id, wcodes.len(), format, plan);
                         acc.clear();
                         if use_reference {
+                            let weights = flipped_weights(wcodes, plan, format, wbuf);
                             acc.extend(reference::conv2d_q(input, params, weights, bias_q));
                         } else {
                             acc.resize(oh * ow * params.out_ch, 0);
-                            let packed: &[i8] = if weight_faulted {
-                                kernels::pack_conv_weights(params, weights, wpacked);
-                                wpacked
-                            } else {
-                                packed
-                            };
-                            kernels::conv2d_q_into(input, params, weights, packed, bias_q, ks, acc);
+                            kernels::conv2d_q_into(input, params, wcodes, packed, bias_q, ks, acc);
+                            for_each_weight_delta(wcodes, plan, format, |index, delta| {
+                                add_conv_weight_delta(input, params, index, delta, acc);
+                            });
                         }
-                        inject_acc_faults(injector, name, acc, macs_per_out, defense)
+                        inject_acc_faults(injector, id, acc, macs_per_out, defense, plan)
                             && !weight_faulted
                     });
                     Some((rescales, params.relu))
@@ -868,18 +928,26 @@ impl QuantizedGraph {
                 } => {
                     let input = &before[inputs[0]];
                     run_checked(defense, stats, || {
-                        let (weights, weight_faulted) =
-                            faulted_weights(injector, name, wcodes, format, wbuf);
+                        let weight_faulted =
+                            plan_weight_faults(injector, id, wcodes.len(), format, plan);
                         acc.clear();
                         if use_reference {
+                            let weights = flipped_weights(wcodes, plan, format, wbuf);
                             acc.extend(reference::dense_q(
                                 input, *in_len, *out_len, weights, bias_q,
                             ));
                         } else {
                             acc.resize(*out_len, 0);
-                            kernels::dense_q_into(input, *in_len, *out_len, weights, bias_q, acc);
+                            kernels::dense_q_into(input, *in_len, *out_len, wcodes, bias_q, acc);
+                            for_each_weight_delta(wcodes, plan, format, |index, delta| {
+                                // Weight `(o, i)` feeds only output `o`.
+                                let x = i32::from(input.codes[index % in_len]);
+                                let a = &mut acc[index / in_len];
+                                *a = a.wrapping_add(delta.wrapping_mul(x));
+                            });
                         }
-                        inject_acc_faults(injector, name, acc, *in_len, defense) && !weight_faulted
+                        inject_acc_faults(injector, id, acc, *in_len, defense, plan)
+                            && !weight_faulted
                     });
                     Some((rescales, *relu))
                 }
@@ -941,14 +1009,21 @@ impl QuantizedGraph {
                 run_checked(defense, stats, || {
                     out.reset(shape.h, shape.w, shape.c, out_scale);
                     kernels::requantize_into(acc, rescales, relu, format, &mut out.codes);
-                    let flips =
-                        injector.plan_activation_faults(name, out.codes.len(), format.bits());
-                    if flips.is_empty() {
+                    let site = FaultSite {
+                        node: id,
+                        kind: FaultKind::Activation {
+                            bits: format.bits(),
+                        },
+                    };
+                    plan_site(injector, site, out.codes.len(), plan);
+                    if plan.is_empty() {
                         return defense.is_on();
                     }
                     let clean = defense.is_on().then(|| IntChecksum::of_codes(&out.codes));
-                    for f in flips {
-                        flip_code(&mut out.codes[f.index], f.bit, format);
+                    for b in plan.iter() {
+                        for r in b.ranges(out.codes.len()) {
+                            flip_codes(&mut out.codes[r], b.bit, format);
+                        }
                     }
                     clean.is_some_and(|c| IntChecksum::of_codes(&out.codes) == c)
                 });
@@ -998,24 +1073,58 @@ fn run_checked(defense: DefensePolicy, stats: &mut DefenseStats, mut pass: impl 
     }
 }
 
-/// Applies the planned accumulator flips of one kernel pass and reports
-/// whether `acc` still matches its checksum from before the flips
-/// (`false`, and no checksum work, with the defense off). A pass with no
-/// planned flip matches by construction, so it skips the checksums.
+/// Smallest capacity, in bursts, the fault-plan buffer keeps.
+const PLAN_FLOOR: usize = 1024;
+
+/// Replaces `plan` with the injector's plan for one execution of `site`
+/// over a `len`-element buffer, then keeps the buffer's capacity at
+/// twice the plan (and at least [`PLAN_FLOOR`]). Event counts are Poisson
+/// draws, so a warm arena must absorb a later plan larger than any it
+/// has seen without regrowing; relative fluctuations shrink as plans
+/// grow, which makes a fixed factor enough once past the floor.
+fn plan_site(
+    injector: &mut dyn FaultInjector,
+    site: FaultSite,
+    len: usize,
+    plan: &mut Vec<FaultBurst>,
+) {
+    plan.clear();
+    injector.plan_faults(site, len, plan);
+    let want = (2 * plan.len()).max(PLAN_FLOOR);
+    if plan.capacity() < want {
+        plan.reserve(want - plan.len());
+    }
+}
+
+/// Plans and applies the accumulator flips of one kernel pass, each
+/// burst as at most two range XORs, and reports whether `acc` still
+/// matches its checksum from before the flips (`false`, and no checksum
+/// work, with the defense off). A pass with no planned flip matches by
+/// construction, so it skips the checksums.
 fn inject_acc_faults(
     injector: &mut dyn FaultInjector,
-    layer: &str,
+    node: NodeId,
     acc: &mut [i32],
     macs_per_out: usize,
     defense: DefensePolicy,
+    plan: &mut Vec<FaultBurst>,
 ) -> bool {
-    let flips = injector.plan_accumulator_faults(layer, acc.len(), macs_per_out);
-    if flips.is_empty() {
+    let site = FaultSite {
+        node,
+        kind: FaultKind::Accumulator { macs_per_out },
+    };
+    plan_site(injector, site, acc.len(), plan);
+    if plan.is_empty() {
         return defense.is_on();
     }
     let clean = defense.is_on().then(|| IntChecksum::of_acc(acc));
-    for f in flips {
-        acc[f.index] ^= 1i32 << (f.bit % 31);
+    for b in plan.iter() {
+        let mask = 1i32 << (b.bit % 31);
+        for r in b.ranges(acc.len()) {
+            for a in &mut acc[r] {
+                *a ^= mask;
+            }
+        }
     }
     clean.is_some_and(|c| IntChecksum::of_acc(acc) == c)
 }
@@ -1036,42 +1145,126 @@ fn runtime_scale_of(nodes: &[QNode], mut id: usize) -> f32 {
     }
 }
 
-/// Stages transient weight faults for one kernel pass without touching
-/// the graph: when the injector plans at least one in-range flip, the
-/// layer's codes are copied into `wbuf`, flipped there, and the staged
-/// copy is returned; a clean pass returns the original slice untouched.
-/// The bool mirrors the old in-place path's "weight was faulted" signal
-/// consumed by the ABFT checksum stage.
-fn faulted_weights<'a>(
+/// Plans the weight flips of one kernel pass into `plan` as single
+/// in-range flips sorted by code index, and reports whether there is
+/// any — the "weight was faulted" signal that forces an ABFT mismatch
+/// (the checksums are taken after the faulted fetch, so they cannot see
+/// it). Flips past the layer's `len` codes are dropped.
+fn plan_weight_faults(
     injector: &mut dyn FaultInjector,
-    layer: &str,
-    wcodes: &'a [i8],
+    node: NodeId,
+    len: usize,
     format: IntFormat,
-    wbuf: &'a mut Vec<i8>,
-) -> (&'a [i8], bool) {
-    let flips = injector.plan_weight_faults(layer, wcodes.len(), format.bits());
-    let mut faulted = false;
-    for f in flips {
-        if f.index < wcodes.len() {
-            if !faulted {
-                wbuf.clear();
-                wbuf.extend_from_slice(wcodes);
-                faulted = true;
-            }
-            flip_code(&mut wbuf[f.index], f.bit, format);
+    plan: &mut Vec<FaultBurst>,
+) -> bool {
+    let site = FaultSite {
+        node,
+        kind: FaultKind::Weight {
+            bits: format.bits(),
+        },
+    };
+    plan_site(injector, site, len, plan);
+    split_bursts(plan, 0, len);
+    plan.sort_unstable_by_key(|f| f.start);
+    !plan.is_empty()
+}
+
+/// Calls `add(index, delta)` once per weight code the sorted single-flip
+/// `plan` changes, with `delta` the flipped code minus the clean one.
+/// All flips of one code are applied before taking the difference, so a
+/// repeated flip cancels and two bits of one code combine.
+///
+/// Adding `delta · x` to every accumulator the code feeds is exact: the
+/// kernels accumulate `Σ w·x` in 32-bit integers, which is linear in each
+/// weight, so the clean sum plus the delta terms equals the sum over the
+/// flipped codes (wrapping arithmetic keeps it exact even modulo 2³²).
+fn for_each_weight_delta(
+    wcodes: &[i8],
+    plan: &[FaultBurst],
+    format: IntFormat,
+    mut add: impl FnMut(usize, i32),
+) {
+    for flips in plan.chunk_by(|a, b| a.start == b.start) {
+        let index = flips[0].start;
+        let mut code = wcodes[index];
+        for f in flips {
+            flip_code(&mut code, f.bit, format);
+        }
+        let delta = i32::from(code) - i32::from(wcodes[index]);
+        if delta != 0 {
+            add(index, delta);
         }
     }
-    if faulted {
-        (wbuf.as_slice(), true)
-    } else {
-        (wcodes, false)
+}
+
+/// Adds `delta · x` to the accumulators of the output channel that conv
+/// weight `index` belongs to, one per output pixel whose window covers
+/// the weight's tap inside the input (padding taps read zero).
+fn add_conv_weight_delta(
+    input: &QTensor,
+    p: &ConvParams,
+    index: usize,
+    delta: i32,
+    acc: &mut [i32],
+) {
+    let (ih, iw, ic) = (input.h(), input.w(), input.c());
+    let (oh, ow) = p.out_hw(ih, iw);
+    // `wcodes` is laid out `[oc][ky][kx][ic]`.
+    let row = p.k * ic;
+    let oc = index / (p.k * row);
+    let (ky, kx, c) = (index / row % p.k, index % row / ic, index % ic);
+    // Output coordinates `o` whose tap `o·stride + kk − pad` lies in
+    // `0..n`.
+    let covered = |kk: usize, n: usize, out: usize| {
+        let lo = p.pad.saturating_sub(kk).div_ceil(p.stride);
+        let hi = (n + p.pad).saturating_sub(kk).div_ceil(p.stride).min(out);
+        lo..hi.max(lo)
+    };
+    for oy in covered(ky, ih, oh) {
+        let iy = oy * p.stride + ky - p.pad;
+        for ox in covered(kx, iw, ow) {
+            let ix = ox * p.stride + kx - p.pad;
+            let x = i32::from(input.codes[(iy * iw + ix) * ic + c]);
+            let a = &mut acc[(oy * ow + ox) * p.out_ch + oc];
+            *a = a.wrapping_add(delta.wrapping_mul(x));
+        }
     }
+}
+
+/// The reference kernels' view of a faulted layer: `wcodes` with the
+/// single-flip `plan` applied, staged in `wbuf` (the clean codes when the
+/// plan is empty).
+fn flipped_weights<'a>(
+    wcodes: &'a [i8],
+    plan: &[FaultBurst],
+    format: IntFormat,
+    wbuf: &'a mut Vec<i8>,
+) -> &'a [i8] {
+    if plan.is_empty() {
+        return wcodes;
+    }
+    wbuf.clear();
+    wbuf.extend_from_slice(wcodes);
+    for f in plan {
+        flip_code(&mut wbuf[f.start], f.bit, format);
+    }
+    wbuf
 }
 
 fn flip_code(code: &mut i8, bit: u32, format: IntFormat) {
     let b = bit % format.bits();
     let raw = format.to_raw(i32::from(*code)) ^ (1u32 << b);
     *code = format.sign_extend(raw) as i8;
+}
+
+/// [`flip_code`] over a run of codes: XOR the raw bit, then sign-extend
+/// from the format's top bit, in `i8` arithmetic so the loop vectorizes.
+fn flip_codes(codes: &mut [i8], bit: u32, format: IntFormat) {
+    let mask = (1u8 << (bit % format.bits())) as i8;
+    let shift = 8 - format.bits();
+    for c in codes {
+        *c = ((*c ^ mask) << shift) >> shift;
+    }
 }
 
 fn max_pool_q_into(input: &QTensor, k: usize, stride: usize, out: &mut QTensor) {
@@ -1180,6 +1373,10 @@ mod tests {
     use crate::abft::DEFAULT_MAX_REEXECUTIONS;
     use crate::graph::GraphBuilder;
 
+    /// Node ids of [`small_graph`]'s conv and dense layers.
+    const C1: NodeId = 1;
+    const FC: NodeId = 3;
+
     fn small_graph() -> Graph {
         let mut b = GraphBuilder::new();
         let x = b.input(4, 4, 2);
@@ -1257,21 +1454,10 @@ mod tests {
     fn weight_faults_are_transient() {
         struct OneFlip;
         impl FaultInjector for OneFlip {
-            fn plan_weight_faults(&mut self, layer: &str, _len: usize, bits: u32) -> Vec<BitFlip> {
-                if layer == "c1" {
-                    vec![BitFlip {
-                        index: 0,
-                        bit: bits - 1,
-                    }]
-                } else {
-                    Vec::new()
+            fn plan_faults(&mut self, site: FaultSite, _: usize, plan: &mut Vec<FaultBurst>) {
+                if let (C1, FaultKind::Weight { bits }) = (site.node, site.kind) {
+                    plan.push(FaultBurst::single(0, bits - 1));
                 }
-            }
-            fn plan_accumulator_faults(&mut self, _: &str, _: usize, _: usize) -> Vec<BitFlip> {
-                Vec::new()
-            }
-            fn plan_activation_faults(&mut self, _: &str, _: usize, _: u32) -> Vec<BitFlip> {
-                Vec::new()
             }
         }
         let g = small_graph();
@@ -1292,23 +1478,10 @@ mod tests {
     fn accumulator_fault_in_high_bit_is_catastrophic_but_saturated() {
         struct AccFlip;
         impl FaultInjector for AccFlip {
-            fn plan_weight_faults(&mut self, _: &str, _: usize, _: u32) -> Vec<BitFlip> {
-                Vec::new()
-            }
-            fn plan_accumulator_faults(
-                &mut self,
-                layer: &str,
-                _len: usize,
-                _m: usize,
-            ) -> Vec<BitFlip> {
-                if layer == "fc" {
-                    vec![BitFlip { index: 0, bit: 29 }]
-                } else {
-                    Vec::new()
+            fn plan_faults(&mut self, site: FaultSite, _: usize, plan: &mut Vec<FaultBurst>) {
+                if let (FC, FaultKind::Accumulator { .. }) = (site.node, site.kind) {
+                    plan.push(FaultBurst::single(0, 29));
                 }
-            }
-            fn plan_activation_faults(&mut self, _: &str, _: usize, _: u32) -> Vec<BitFlip> {
-                Vec::new()
             }
         }
         let g = small_graph();
@@ -1449,19 +1622,13 @@ mod tests {
     }
 
     impl FaultInjector for TransientAccFault {
-        fn plan_weight_faults(&mut self, _: &str, _: usize, _: u32) -> Vec<BitFlip> {
-            Vec::new()
-        }
-        fn plan_accumulator_faults(&mut self, layer: &str, _: usize, _: usize) -> Vec<BitFlip> {
-            if layer == "c1" && self.remaining > 0 {
-                self.remaining -= 1;
-                vec![BitFlip { index: 1, bit: 20 }]
-            } else {
-                Vec::new()
+        fn plan_faults(&mut self, site: FaultSite, _: usize, plan: &mut Vec<FaultBurst>) {
+            if let (C1, FaultKind::Accumulator { .. }) = (site.node, site.kind) {
+                if self.remaining > 0 {
+                    self.remaining -= 1;
+                    plan.push(FaultBurst::single(1, 20));
+                }
             }
-        }
-        fn plan_activation_faults(&mut self, _: &str, _: usize, _: u32) -> Vec<BitFlip> {
-            Vec::new()
         }
     }
 
@@ -1542,21 +1709,12 @@ mod tests {
             remaining: u32,
         }
         impl FaultInjector for OneActFlip {
-            fn plan_weight_faults(&mut self, _: &str, _: usize, _: u32) -> Vec<BitFlip> {
-                Vec::new()
-            }
-            fn plan_accumulator_faults(&mut self, _: &str, _: usize, _: usize) -> Vec<BitFlip> {
-                Vec::new()
-            }
-            fn plan_activation_faults(&mut self, layer: &str, _: usize, bits: u32) -> Vec<BitFlip> {
-                if layer == "c1" && self.remaining > 0 {
-                    self.remaining -= 1;
-                    vec![BitFlip {
-                        index: 3,
-                        bit: bits - 1,
-                    }]
-                } else {
-                    Vec::new()
+            fn plan_faults(&mut self, site: FaultSite, _: usize, plan: &mut Vec<FaultBurst>) {
+                if let (C1, FaultKind::Activation { bits }) = (site.node, site.kind) {
+                    if self.remaining > 0 {
+                        self.remaining -= 1;
+                        plan.push(FaultBurst::single(3, bits - 1));
+                    }
                 }
             }
         }
@@ -1578,21 +1736,10 @@ mod tests {
     fn defense_correct_flags_persistent_weight_faults() {
         struct StuckWeight;
         impl FaultInjector for StuckWeight {
-            fn plan_weight_faults(&mut self, layer: &str, _: usize, bits: u32) -> Vec<BitFlip> {
-                if layer == "c1" {
-                    vec![BitFlip {
-                        index: 0,
-                        bit: bits - 1,
-                    }]
-                } else {
-                    Vec::new()
+            fn plan_faults(&mut self, site: FaultSite, _: usize, plan: &mut Vec<FaultBurst>) {
+                if let (C1, FaultKind::Weight { bits }) = (site.node, site.kind) {
+                    plan.push(FaultBurst::single(0, bits - 1));
                 }
-            }
-            fn plan_accumulator_faults(&mut self, _: &str, _: usize, _: usize) -> Vec<BitFlip> {
-                Vec::new()
-            }
-            fn plan_activation_faults(&mut self, _: &str, _: usize, _: u32) -> Vec<BitFlip> {
-                Vec::new()
             }
         }
         let g = small_graph();
@@ -1604,5 +1751,39 @@ mod tests {
         // The weight-checksum column flags every attempt; the budget runs
         // out and the corruption is reported, not silently returned.
         assert_eq!(stats.unresolved, 1);
+    }
+
+    #[test]
+    fn flip_codes_matches_flip_code_on_every_code() {
+        for bits in 1..=8 {
+            let format = IntFormat::new(bits).unwrap();
+            let codes: Vec<i8> = (format.min_value()..=format.max_value())
+                .map(|v| v as i8)
+                .collect();
+            for bit in 0..10 {
+                let mut run = codes.clone();
+                flip_codes(&mut run, bit, format);
+                for (&clean, &flipped) in codes.iter().zip(&run) {
+                    let mut one = clean;
+                    flip_code(&mut one, bit, format);
+                    assert_eq!(flipped, one, "INT{bits} code {clean} bit {bit}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn burst_ranges_wrap_and_cap() {
+        let b = |start, len| FaultBurst { start, len, bit: 3 };
+        assert_eq!(b(2, 3).ranges(10), [2..5, 0..0]);
+        assert_eq!(b(8, 5).ranges(10), [8..10, 0..3]);
+        assert_eq!(b(4, 64).ranges(10), [4..10, 0..4], "capped at the buffer");
+        assert_eq!(b(10, 1).ranges(10), [0..0, 0..0], "past the end");
+        let mut plan = vec![b(8, 3), FaultBurst::single(12, 1), b(0, 1)];
+        split_bursts(&mut plan, 1, 10);
+        assert_eq!(plan, vec![b(8, 3), FaultBurst::single(0, 3)]);
+        split_bursts(&mut plan, 0, 10);
+        let flips: Vec<_> = plan.iter().map(|f| (f.start, f.len, f.bit)).collect();
+        assert_eq!(flips, vec![(8, 1, 3), (9, 1, 3), (0, 1, 3), (0, 1, 3)]);
     }
 }

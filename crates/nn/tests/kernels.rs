@@ -15,9 +15,11 @@
 //! zero-fill-based handling).
 
 use proptest::prelude::*;
+use redvolt_nn::abft::DefensePolicy;
+use redvolt_nn::graph::NodeId;
 use redvolt_nn::graph::{ConvParams, GraphBuilder};
 use redvolt_nn::kernels::{self, Scratch};
-use redvolt_nn::quant::{BitFlip, FaultInjector, QuantizedGraph};
+use redvolt_nn::quant::{FaultBurst, FaultInjector, FaultKind, FaultSite, QuantizedGraph};
 use redvolt_nn::reference;
 use redvolt_nn::tensor::{QTensor, Tensor};
 
@@ -287,37 +289,29 @@ fn conv_q_exact_on_microkernel_edge_shapes() {
     }
 }
 
-/// Flips one weight bit of one layer on every pass.
-struct WeightFlip {
-    layer: &'static str,
-    flip: BitFlip,
-}
+/// Plans the same weight flips on every pass of each scripted node — a
+/// stuck fault, so every ABFT re-execution sees it again.
+struct WeightFlips(Vec<(NodeId, Vec<FaultBurst>)>);
 
-impl FaultInjector for WeightFlip {
-    fn plan_weight_faults(&mut self, layer: &str, _len: usize, _bits: u32) -> Vec<BitFlip> {
-        if layer == self.layer {
-            vec![self.flip]
-        } else {
-            Vec::new()
+impl FaultInjector for WeightFlips {
+    fn plan_faults(&mut self, site: FaultSite, _: usize, plan: &mut Vec<FaultBurst>) {
+        if let FaultKind::Weight { .. } = site.kind {
+            for (node, flips) in &self.0 {
+                if *node == site.node {
+                    plan.extend_from_slice(flips);
+                }
+            }
         }
     }
-
-    fn plan_accumulator_faults(&mut self, _: &str, _: usize, _: usize) -> Vec<BitFlip> {
-        Vec::new()
-    }
-
-    fn plan_activation_faults(&mut self, _: &str, _: usize, _: u32) -> Vec<BitFlip> {
-        Vec::new()
-    }
 }
 
-/// Copy-on-fault must reach the conv microkernel: a planned weight flip
-/// runs on freshly packed flipped codes, never on the layer's stale
-/// packed cache, and the next clean pass is clean again. The oracle is
-/// the same graph on the reference kernels, which compute
-/// `reference::conv2d_q` on the flipped codes directly.
+/// A weight flip must reach the optimized conv's accumulators: its delta
+/// lands on the layer's clean packed-weight output, the result equals the
+/// reference kernels on the flipped codes, and the next clean pass is
+/// clean again. The oracle is the same graph on the reference kernels,
+/// which compute `reference::conv2d_q` on a flipped copy of the codes.
 #[test]
-fn faulted_conv_weights_reach_the_microkernel() {
+fn faulted_conv_weights_reach_the_accumulators() {
     let p = ConvParams {
         in_ch: 3,
         out_ch: 11,
@@ -337,13 +331,7 @@ fn faulted_conv_weights_reach_the_microkernel() {
     let img = image(3);
     let clean = bits(&q.forward(&img).expect("clean pass"));
     // Bit 6 of a weight in output channel 9 (the partial second block).
-    let mut flip = WeightFlip {
-        layer: "c",
-        flip: BitFlip {
-            index: 9 * 27 + 13,
-            bit: 6,
-        },
-    };
+    let mut flip = WeightFlips(vec![(y, vec![FaultBurst::single(9 * 27 + 13, 6)])]);
     let faulted = bits(&q.forward_with(&img, &mut flip).expect("faulted pass"));
     q.set_reference_kernels(true);
     let oracle = bits(&q.forward_with(&img, &mut flip).expect("reference pass"));
@@ -351,4 +339,125 @@ fn faulted_conv_weights_reach_the_microkernel() {
     assert_eq!(faulted, oracle, "faulted codes must reach the kernel");
     assert_ne!(faulted, clean, "the flip must be visible");
     assert_eq!(bits(&q.forward(&img).expect("clean pass")), clean);
+}
+
+/// Four drawn code indices (reduced modulo the layer size).
+type Picks = (usize, usize, usize, usize);
+
+fn index_picks() -> impl Strategy<Value = Picks> {
+    (
+        0usize..1 << 20,
+        0usize..1 << 20,
+        0usize..1 << 20,
+        0usize..1 << 20,
+    )
+}
+
+/// A scripted weight plan over a layer of `len` codes, from four drawn
+/// indices and two bits: a flip repeated later in the plan (it cancels),
+/// one code flipped at two bits, a 3-code burst, an index past the end
+/// (dropped) and a lone flip.
+fn weight_script(len: usize, picks: Picks, (b0, b1): (u32, u32)) -> Vec<FaultBurst> {
+    let (a, b, c, d) = (picks.0 % len, picks.1 % len, picks.2 % len, picks.3 % len);
+    vec![
+        FaultBurst::single(a, b0),
+        FaultBurst::single(b, b0),
+        FaultBurst::single(b, b1),
+        FaultBurst {
+            start: c,
+            len: 3,
+            bit: b1,
+        },
+        FaultBurst::single(len + d, b0),
+        FaultBurst::single(a, b0),
+        FaultBurst::single(d, b1),
+    ]
+}
+
+/// Runs `image` through `q` under `flips` on the optimized kernels and on
+/// the reference oracle, under the defense off and correcting, and
+/// asserts bit-identical logits and identical ABFT counters.
+fn assert_weight_faults_match_oracle(
+    q: &mut QuantizedGraph,
+    image: &Tensor,
+    flips: Vec<(NodeId, Vec<FaultBurst>)>,
+) {
+    let mut inj = WeightFlips(flips);
+    for policy in [DefensePolicy::off(), DefensePolicy::correct()] {
+        q.set_defense(policy);
+        q.set_reference_kernels(false);
+        let fast = bits(&q.forward_with(image, &mut inj).expect("optimized pass"));
+        let fast_stats = q.take_defense_stats();
+        q.set_reference_kernels(true);
+        let oracle = bits(&q.forward_with(image, &mut inj).expect("reference pass"));
+        assert_eq!(fast, oracle, "{:?}", policy.mode);
+        assert_eq!(fast_stats, q.take_defense_stats());
+    }
+}
+
+proptest! {
+    /// Weight faults as accumulator deltas are exact on every conv shape
+    /// class of [`conv_q_exact_across_shapes`]: partial 8-channel blocks,
+    /// strides, padding and kernels larger than the input, where many
+    /// output pixels' windows miss the faulted tap.
+    #[test]
+    fn conv_weight_deltas_match_the_reference_oracle(
+        seed in 0u64..1000,
+        ih in 1usize..12,
+        iw in 1usize..12,
+        ic in 1usize..10,
+        out_ch in 1usize..21,
+        k in 1usize..5,
+        stride in 1usize..3,
+        pad in 0usize..2,
+        picks in index_picks(),
+        bit_picks in (0u32..8, 0u32..8),
+    ) {
+        prop_assume!(ih + 2 * pad >= k && iw + 2 * pad >= k);
+        let p = ConvParams { in_ch: ic, out_ch, k, stride, pad, relu: false };
+        let mut b = GraphBuilder::new();
+        let x = b.input(ih, iw, ic);
+        let weights = (0..p.weight_count()).map(|i| f32_at(seed ^ 0x0e1, i)).collect();
+        let bias = (0..out_ch).map(|i| f32_at(seed ^ 0xb1a5, i)).collect();
+        let y = b.conv("c", x, p, weights, bias);
+        let g = b.finish(y);
+        let image = |s: u64| Tensor::from_vec(ih, iw, ic, (0..ih * iw * ic).map(|i| f32_at(s, i)).collect());
+        let mut q = QuantizedGraph::quantize(&g, 8, &[image(seed), image(seed + 1)]).expect("quantizes");
+        let script = weight_script(p.weight_count(), picks, bit_picks);
+        assert_weight_faults_match_oracle(&mut q, &image(seed + 2), vec![(y, script)]);
+    }
+
+    /// The same for dense layers, behind a conv so both kinds of delta
+    /// run in one pass, at code widths down to INT4.
+    #[test]
+    fn dense_weight_deltas_match_the_reference_oracle(
+        seed in 0u64..1000,
+        hw in 1usize..5,
+        ic in 1usize..6,
+        out_len in 1usize..12,
+        code_bits in 4u32..=8,
+        picks in index_picks(),
+        conv_picks in index_picks(),
+        bit_picks in (0u32..8, 0u32..8),
+    ) {
+        let p = ConvParams { in_ch: ic, out_ch: 3, k: 1, stride: 1, pad: 0, relu: true };
+        let mut b = GraphBuilder::new();
+        let x = b.input(hw, hw, ic);
+        let cw = (0..p.weight_count()).map(|i| f32_at(seed ^ 0x5, i)).collect();
+        let c = b.conv("c", x, p, cw, vec![0.1, -0.1, 0.0]);
+        let in_len = hw * hw * 3;
+        let dw = (0..in_len * out_len).map(|i| f32_at(seed ^ 0xd, i)).collect();
+        let db = (0..out_len).map(|i| f32_at(seed ^ 0xe, i)).collect();
+        let d = b.dense("fc", c, out_len, false, dw, db);
+        let g = b.finish(d);
+        let image = |s: u64| Tensor::from_vec(hw, hw, ic, (0..hw * hw * ic).map(|i| f32_at(s, i)).collect());
+        let mut q = QuantizedGraph::quantize(&g, code_bits, &[image(seed), image(seed + 1)])
+            .expect("quantizes");
+        let bits = (bit_picks.0 % code_bits, bit_picks.1 % code_bits);
+        let flips = vec![
+            (c, weight_script(p.weight_count(), conv_picks, bits)),
+            (d, weight_script(in_len * out_len, picks, bits)),
+        ];
+        assert_weight_faults_match_oracle(&mut q, &image(seed + 2), flips);
+    }
 }
